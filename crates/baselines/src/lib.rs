@@ -1,7 +1,9 @@
 //! Baseline thermal-management policies the paper compares against.
 //!
-//! * [`LinuxDefaultController`] — the stock kernel: ondemand governor and
-//!   load-balanced scheduling, no thermal management (Table 2's "Linux").
+//! The stock-kernel baseline (Table 2's "Linux": ondemand governor,
+//! load-balanced scheduling, no thermal management) is
+//! `thermorl_sim::NullController`.
+//!
 //! * [`FixedPolicy`] — one-shot static settings: the powersave /
 //!   userspace-2.4 GHz / userspace-3.4 GHz rows of Table 3 and the fixed
 //!   user assignment of the §3 motivational experiment.
@@ -16,8 +18,6 @@
 
 pub mod fixed;
 pub mod ge2011;
-pub mod linux;
 
 pub use fixed::FixedPolicy;
 pub use ge2011::{GeConfig, GeQiu2011Controller};
-pub use linux::LinuxDefaultController;

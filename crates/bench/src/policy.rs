@@ -1,10 +1,10 @@
 //! Factory for every policy compared in the paper, plus the zoo
 //! contenders from `thermorl-policy` behind the same interface.
 
-use thermorl_baselines::{FixedPolicy, GeConfig, GeQiu2011Controller, LinuxDefaultController};
-use thermorl_control::{ControlConfig, DasDac14Controller};
-use thermorl_policy::{PolicyController, PolicyId};
-use thermorl_sim::ThermalController;
+use thermorl_baselines::{FixedPolicy, GeConfig, GeQiu2011Controller};
+use thermorl_control::ControlConfig;
+use thermorl_policy::PolicyId;
+use thermorl_sim::{NullController, ThermalController};
 
 /// The policies the paper's evaluation compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -123,7 +123,7 @@ impl Policy {
     /// Instantiates the controller with the given seed.
     pub fn build(self, seed: u64) -> Box<dyn ThermalController> {
         match self {
-            Policy::LinuxOndemand => Box::new(LinuxDefaultController::new()),
+            Policy::LinuxOndemand => Box::new(NullController::default()),
             Policy::LinuxPowersave => Box::new(FixedPolicy::powersave()),
             Policy::Linux24GHz => Box::new(FixedPolicy::userspace("linux-2.4GHz", 2)),
             Policy::Linux34GHz => Box::new(FixedPolicy::userspace("linux-3.4GHz", 5)),
@@ -132,10 +132,8 @@ impl Policy {
             Policy::Ge2011Modified => {
                 Box::new(GeQiu2011Controller::modified(GeConfig::default(), seed))
             }
-            Policy::Proposed => Box::new(DasDac14Controller::new(ControlConfig::default(), seed)),
-            Policy::Zoo(id) => Box::new(PolicyController::new(
-                id.build(ControlConfig::default(), seed),
-            )),
+            Policy::Proposed => PolicyId::DasDac14.build(ControlConfig::default(), seed),
+            Policy::Zoo(id) => id.build(ControlConfig::default(), seed),
         }
     }
 }

@@ -75,7 +75,7 @@ fn sim_job(seed: u64) -> u64 {
     out.total_time as u64
 }
 
-/// A short run under two zoo contenders, so the per-policy
+/// A short run under three zoo contenders, so the per-policy
 /// `policy.decisions.*` counters have decisions to count.
 fn zoo_job(seed: u64) -> u64 {
     let scenario = Scenario::single(alpbench::tachyon(DataSet::One));
@@ -84,7 +84,7 @@ fn zoo_job(seed: u64) -> u64 {
         ..SimConfig::default()
     };
     let mut epochs = 0;
-    for id in [PolicyId::Ucb1, PolicyId::Oracle] {
+    for id in [PolicyId::DasDac14, PolicyId::Ucb1, PolicyId::Oracle] {
         let out = run_scenario(&scenario, Policy::Zoo(id).build(seed), &sim, seed);
         epochs += out.total_time as u64;
     }
@@ -268,7 +268,7 @@ fn telemetry_export_meets_acceptance_criteria() {
 
     // Per-policy decision counters: each zoo contender that decided an
     // epoch reports under its own id, in the JSON snapshot...
-    for id in [PolicyId::Ucb1, PolicyId::Oracle] {
+    for id in [PolicyId::DasDac14, PolicyId::Ucb1, PolicyId::Oracle] {
         let decisions = doc
             .get("counters")
             .and_then(|c| c.get(id.counter_name()))

@@ -208,6 +208,12 @@ impl DasDac14Controller {
         self.actions.as_ref()
     }
 
+    /// The configuration the agent was built with (what
+    /// [`DasDac14Controller::restore`] needs to rebuild it).
+    pub fn config(&self) -> &ControlConfig {
+        &self.cfg
+    }
+
     /// Worst-core (stress, aging) hazards of a sample window.
     fn window_hazards(&self, dt: f64) -> (f64, f64) {
         let mut stress: f64 = 0.0;
@@ -507,6 +513,8 @@ impl ThermalController for DasDac14Controller {
         }
         self.epochs += 1;
         tel::counter!("agent.decisions");
+        // The policy zoo's per-member decision counter for this agent.
+        tel::counter!("policy.decisions.das_dac14");
         if explored {
             tel::counter!("agent.explore_actions");
         }

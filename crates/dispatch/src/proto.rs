@@ -815,5 +815,6 @@ mod tests {
         assert!(read_message::<_, Message>(&mut reader).is_err());
         assert!(Message::parse("{\"type\":\"warp\"}").is_err());
         assert!(Message::parse("{\"no_type\":1}").is_err());
+        assert!(Message::parse(&"[".repeat(100_000)).is_err());
     }
 }

@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 
 use thermorl_control::{ActionSpace, ControlConfig};
 use thermorl_sim::json::Value;
-use thermorl_sim::{Actuation, Observation};
+use thermorl_sim::{Actuation, Observation, ThermalController};
 use thermorl_telemetry as tel;
 
 use crate::codec::{
@@ -215,17 +215,9 @@ impl EpsilonGreedyPolicy {
     }
 }
 
-impl Policy for EpsilonGreedyPolicy {
-    fn id(&self) -> PolicyId {
-        PolicyId::EpsilonGreedy
-    }
-
+impl ThermalController for EpsilonGreedyPolicy {
     fn name(&self) -> &str {
         &self.core.name
-    }
-
-    fn set_name(&mut self, name: String) {
-        self.core.name = name;
     }
 
     fn sampling_interval(&self) -> f64 {
@@ -236,7 +228,7 @@ impl Policy for EpsilonGreedyPolicy {
         self.core.on_start(num_threads, num_cores);
     }
 
-    fn observe(&mut self, obs: &Observation<'_>) -> Option<Actuation> {
+    fn on_sample(&mut self, obs: &Observation<'_>) -> Option<Actuation> {
         let stats = self.core.window.push(obs.sensor_temps)?;
         let reward = self.core.learn(&stats);
         let n = self.core.arms();
@@ -249,6 +241,16 @@ impl Policy for EpsilonGreedyPolicy {
             self.core.best_arm()
         };
         Some(self.core.commit(action, &stats, reward, self.epsilon))
+    }
+}
+
+impl Policy for EpsilonGreedyPolicy {
+    fn id(&self) -> PolicyId {
+        PolicyId::EpsilonGreedy
+    }
+
+    fn set_name(&mut self, name: String) {
+        self.core.name = name;
     }
 
     fn epochs(&self) -> u64 {
@@ -293,17 +295,9 @@ impl Ucb1Policy {
     }
 }
 
-impl Policy for Ucb1Policy {
-    fn id(&self) -> PolicyId {
-        PolicyId::Ucb1
-    }
-
+impl ThermalController for Ucb1Policy {
     fn name(&self) -> &str {
         &self.core.name
-    }
-
-    fn set_name(&mut self, name: String) {
-        self.core.name = name;
     }
 
     fn sampling_interval(&self) -> f64 {
@@ -314,7 +308,7 @@ impl Policy for Ucb1Policy {
         self.core.on_start(num_threads, num_cores);
     }
 
-    fn observe(&mut self, obs: &Observation<'_>) -> Option<Actuation> {
+    fn on_sample(&mut self, obs: &Observation<'_>) -> Option<Actuation> {
         let stats = self.core.window.push(obs.sensor_temps)?;
         let reward = self.core.learn(&stats);
         let action = match self.core.counts.iter().position(|&c| c == 0) {
@@ -336,6 +330,16 @@ impl Policy for Ucb1Policy {
             }
         };
         Some(self.core.commit(action, &stats, reward, 0.0))
+    }
+}
+
+impl Policy for Ucb1Policy {
+    fn id(&self) -> PolicyId {
+        PolicyId::Ucb1
+    }
+
+    fn set_name(&mut self, name: String) {
+        self.core.name = name;
     }
 
     fn epochs(&self) -> u64 {
@@ -387,17 +391,9 @@ impl ThompsonPolicy {
     }
 }
 
-impl Policy for ThompsonPolicy {
-    fn id(&self) -> PolicyId {
-        PolicyId::Thompson
-    }
-
+impl ThermalController for ThompsonPolicy {
     fn name(&self) -> &str {
         &self.core.name
-    }
-
-    fn set_name(&mut self, name: String) {
-        self.core.name = name;
     }
 
     fn sampling_interval(&self) -> f64 {
@@ -408,7 +404,7 @@ impl Policy for ThompsonPolicy {
         self.core.on_start(num_threads, num_cores);
     }
 
-    fn observe(&mut self, obs: &Observation<'_>) -> Option<Actuation> {
+    fn on_sample(&mut self, obs: &Observation<'_>) -> Option<Actuation> {
         let stats = self.core.window.push(obs.sensor_temps)?;
         let reward = self.core.learn(&stats);
         let mut best = 0;
@@ -422,6 +418,16 @@ impl Policy for ThompsonPolicy {
             }
         }
         Some(self.core.commit(best, &stats, reward, 0.0))
+    }
+}
+
+impl Policy for ThompsonPolicy {
+    fn id(&self) -> PolicyId {
+        PolicyId::Thompson
+    }
+
+    fn set_name(&mut self, name: String) {
+        self.core.name = name;
     }
 
     fn epochs(&self) -> u64 {
@@ -475,7 +481,7 @@ mod tests {
         for k in 0..samples {
             let t = 45.0 + (k % 5) as f64;
             let temps = [t, t + 1.0, t - 1.0, t];
-            if p.observe(&obs(&temps, &freqs, k as f64 * 3.0)).is_some() {
+            if p.on_sample(&obs(&temps, &freqs, k as f64 * 3.0)).is_some() {
                 actions.push(p.last_decision().expect("decision recorded").action);
             }
         }

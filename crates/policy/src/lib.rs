@@ -3,14 +3,14 @@
 //! The DAC'14 reproduction grew around one controller —
 //! [`thermorl_control::DasDac14Controller`] — hard-wired into the sim
 //! engine, the campaign harness, and the serving layer. This crate turns
-//! "the agent" into *a* policy: the [`Policy`] trait captures the full
-//! observe → decide → learn contract **plus** the snapshot/restore
-//! contract the serving layer's kill -9 recovery depends on, and a zoo
-//! of contenders implements it:
+//! "the agent" into *a* policy: the [`Policy`] trait extends the sim
+//! engine's [`ThermalController`] (observe → decide → learn) with the
+//! snapshot/restore contract the serving layer's kill -9 recovery
+//! depends on, and a zoo of contenders implements it:
 //!
 //! | id          | member                                                  |
 //! |-------------|---------------------------------------------------------|
-//! | `das_dac14` | the paper agent, re-homed behind the trait bit-identically ([`Dac14Policy`]) |
+//! | `das_dac14` | the paper agent itself ([`DasDac14Controller`]) |
 //! | `egreedy`   | ε-greedy bandit over the same action set ([`EpsilonGreedyPolicy`]) |
 //! | `ucb1`      | deterministic UCB1 bandit ([`Ucb1Policy`])               |
 //! | `thompson`  | Gaussian Thompson-sampling bandit ([`ThompsonPolicy`])   |
@@ -22,29 +22,28 @@
 //! guarantees the paper agent already gave, now a trait obligation that
 //! the zoo-wide proptest enforces.
 //!
-//! [`PolicyController`] adapts any boxed policy to the sim engine's
-//! [`ThermalController`], so zoo members drop into `run_scenario`,
-//! campaign grids, and the tournament without the engine knowing. The
-//! [`tournament`] module supplies the widened scenario matrix (bursty
-//! arrivals, phase-changing traces, ambient swings, degraded sensors)
-//! and the leaderboard mathematics behind `BENCH_tournament.json`.
+//! Because every policy is a [`ThermalController`], a `Box<dyn Policy>`
+//! upcasts straight into `run_scenario`, campaign grids, and the
+//! tournament without the engine knowing. The [`tournament`] module
+//! supplies the widened scenario matrix (bursty arrivals,
+//! phase-changing traces, ambient swings, degraded sensors) and the
+//! leaderboard mathematics behind `BENCH_tournament.json`.
 
 #![deny(missing_docs)]
 
 pub mod bandit;
 mod codec;
-pub mod dac14;
+mod dac14;
 pub mod oracle;
 pub mod releta;
 pub mod tournament;
 pub mod window;
 
-use thermorl_control::ControlConfig;
+use thermorl_control::{ControlConfig, DasDac14Controller};
 use thermorl_sim::json::Value;
 use thermorl_sim::{Actuation, Observation, ThermalController};
 
 pub use bandit::{EpsilonGreedyPolicy, ThompsonPolicy, Ucb1Policy};
-pub use dac14::Dac14Policy;
 pub use oracle::OraclePolicy;
 pub use releta::ReletaPolicy;
 pub use tournament::{cell_metrics, leaderboard, scenario_matrix, CellMetrics, TournamentScenario};
@@ -68,8 +67,9 @@ pub struct DecisionRecord {
     pub alpha: f64,
 }
 
-/// A pluggable thermal-management policy: observe → decide → learn,
-/// plus full-state snapshot/restore for online serving recovery.
+/// A pluggable thermal-management policy: a [`ThermalController`]
+/// (observe → decide → learn) plus full-state snapshot/restore for
+/// online serving recovery.
 ///
 /// # Contract
 ///
@@ -81,29 +81,14 @@ pub struct DecisionRecord {
 ///   must continue the decision stream bit-identically. `snapshot`
 ///   returns `None` before `on_start` (nothing to resume yet).
 /// * **Epoch cadence** — decisions happen on decision-epoch boundaries
-///   (every `ControlConfig::epoch_samples` observations); `observe`
-///   returns `Some` exactly then.
-pub trait Policy: Send {
+///   (every `ControlConfig::epoch_samples` observations);
+///   [`ThermalController::on_sample`] returns `Some` exactly then.
+pub trait Policy: ThermalController + Send {
     /// The zoo identity of this policy (stable across snapshots).
     fn id(&self) -> PolicyId;
 
-    /// Human-readable instance name (used in result tables and serve
-    /// session labels).
-    fn name(&self) -> &str;
-
     /// Relabels the instance (pure metadata; must not affect decisions).
     fn set_name(&mut self, name: String);
-
-    /// Seconds between sensor samples delivered to this policy.
-    fn sampling_interval(&self) -> f64;
-
-    /// Called once before the first observation with the thread and core
-    /// counts, so the policy can size its action space.
-    fn on_start(&mut self, num_threads: usize, num_cores: usize);
-
-    /// Handles one sensor sample; returns an actuation on decision-epoch
-    /// boundaries.
-    fn observe(&mut self, obs: &Observation<'_>) -> Option<Actuation>;
 
     /// Decision epochs completed so far.
     fn epochs(&self) -> u64;
@@ -130,7 +115,7 @@ pub trait Policy: Send {
 /// binaries (`--policy`), and the serve `attach` message can name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyId {
-    /// The paper's tabular Q-learning agent behind the trait.
+    /// The paper's tabular Q-learning agent.
     DasDac14,
     /// ε-greedy multi-armed bandit over the paper's action set.
     EpsilonGreedy,
@@ -220,7 +205,7 @@ impl PolicyId {
     /// Panics if `cfg` fails [`ControlConfig::validate`].
     pub fn build(self, cfg: ControlConfig, seed: u64) -> Box<dyn Policy> {
         match self {
-            PolicyId::DasDac14 => Box::new(Dac14Policy::new(cfg, seed)),
+            PolicyId::DasDac14 => Box::new(DasDac14Controller::new(cfg, seed)),
             PolicyId::EpsilonGreedy => Box::new(EpsilonGreedyPolicy::new(cfg, seed)),
             PolicyId::Ucb1 => Box::new(Ucb1Policy::new(cfg, seed)),
             PolicyId::Thompson => Box::new(ThompsonPolicy::new(cfg, seed)),
@@ -236,8 +221,9 @@ impl std::fmt::Display for PolicyId {
     }
 }
 
-/// Adapts a boxed [`Policy`] to the sim engine's [`ThermalController`],
-/// so any zoo member plugs into `run_scenario` and the campaign grids.
+/// A boxed [`Policy`] as a standalone [`ThermalController`]. Kept for
+/// callers that name the wrapper; a `Box<dyn Policy>` also upcasts to
+/// `Box<dyn ThermalController>` directly.
 pub struct PolicyController {
     policy: Box<dyn Policy>,
 }
@@ -246,21 +232,6 @@ impl PolicyController {
     /// Wraps a policy for the sim engine.
     pub fn new(policy: Box<dyn Policy>) -> Self {
         PolicyController { policy }
-    }
-
-    /// The wrapped policy.
-    pub fn policy(&self) -> &dyn Policy {
-        self.policy.as_ref()
-    }
-
-    /// The wrapped policy, mutably.
-    pub fn policy_mut(&mut self) -> &mut dyn Policy {
-        self.policy.as_mut()
-    }
-
-    /// Unwraps the policy.
-    pub fn into_inner(self) -> Box<dyn Policy> {
-        self.policy
     }
 }
 
@@ -278,7 +249,7 @@ impl ThermalController for PolicyController {
     }
 
     fn on_sample(&mut self, obs: &Observation<'_>) -> Option<Actuation> {
-        self.policy.observe(obs)
+        self.policy.on_sample(obs)
     }
 }
 

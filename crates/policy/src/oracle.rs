@@ -15,7 +15,7 @@
 use thermorl_control::{ActionSpace, ControlConfig};
 use thermorl_platform::GovernorKind;
 use thermorl_sim::json::Value;
-use thermorl_sim::{Actuation, Observation};
+use thermorl_sim::{Actuation, Observation, ThermalController};
 use thermorl_telemetry as tel;
 use thermorl_thermal::{DieModel, DieParams, Floorplan};
 
@@ -166,17 +166,9 @@ impl OraclePolicy {
     }
 }
 
-impl Policy for OraclePolicy {
-    fn id(&self) -> PolicyId {
-        PolicyId::Oracle
-    }
-
+impl ThermalController for OraclePolicy {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn set_name(&mut self, name: String) {
-        self.name = name;
     }
 
     fn sampling_interval(&self) -> f64 {
@@ -195,7 +187,7 @@ impl Policy for OraclePolicy {
         self.plan = self.predict(num_cores);
     }
 
-    fn observe(&mut self, obs: &Observation<'_>) -> Option<Actuation> {
+    fn on_sample(&mut self, obs: &Observation<'_>) -> Option<Actuation> {
         let stats = self.window.push(obs.sensor_temps)?;
         let action = self.choose(stats.peak_c);
         self.last = Some(DecisionRecord {
@@ -217,6 +209,16 @@ impl Policy for OraclePolicy {
             governor: Some(act.governor),
             per_core_governors: act.per_core_governors.clone(),
         })
+    }
+}
+
+impl Policy for OraclePolicy {
+    fn id(&self) -> PolicyId {
+        PolicyId::Oracle
+    }
+
+    fn set_name(&mut self, name: String) {
+        self.name = name;
     }
 
     fn epochs(&self) -> u64 {
@@ -330,7 +332,7 @@ mod tests {
             for k in from..to {
                 let t = 50.0 + 20.0 * ((k / 8) % 2) as f64;
                 let temps = [t, t + 1.0, t - 1.0, t];
-                if p.observe(&obs(&temps, &freqs, k as f64 * 3.0)).is_some() {
+                if p.on_sample(&obs(&temps, &freqs, k as f64 * 3.0)).is_some() {
                     actions.push(p.last_decision().unwrap().action);
                 }
             }

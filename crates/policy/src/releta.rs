@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 
 use thermorl_control::{ActionSpace, ControlConfig, QTable, StateId};
 use thermorl_sim::json::Value;
-use thermorl_sim::{Actuation, Observation};
+use thermorl_sim::{Actuation, Observation, ThermalController};
 use thermorl_telemetry as tel;
 
 use crate::codec::{
@@ -82,17 +82,9 @@ impl ReletaPolicy {
     }
 }
 
-impl Policy for ReletaPolicy {
-    fn id(&self) -> PolicyId {
-        PolicyId::Releta
-    }
-
+impl ThermalController for ReletaPolicy {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn set_name(&mut self, name: String) {
-        self.name = name;
     }
 
     fn sampling_interval(&self) -> f64 {
@@ -112,7 +104,7 @@ impl Policy for ReletaPolicy {
         self.qtable = Some(QTable::new(TEMP_BINS, n));
     }
 
-    fn observe(&mut self, obs: &Observation<'_>) -> Option<Actuation> {
+    fn on_sample(&mut self, obs: &Observation<'_>) -> Option<Actuation> {
         let stats = self.window.push(obs.sensor_temps)?;
         let n = self
             .actions
@@ -166,6 +158,16 @@ impl Policy for ReletaPolicy {
             governor: Some(act.governor),
             per_core_governors: act.per_core_governors.clone(),
         })
+    }
+}
+
+impl Policy for ReletaPolicy {
+    fn id(&self) -> PolicyId {
+        PolicyId::Releta
+    }
+
+    fn set_name(&mut self, name: String) {
+        self.name = name;
     }
 
     fn epochs(&self) -> u64 {
@@ -285,7 +287,7 @@ mod tests {
         // positive (temperature fell).
         for &t in &[70.0, 70.0, 50.0, 50.0] {
             let temps = [t; 4];
-            p.observe(&obs(&temps, &freqs, 0.0));
+            p.on_sample(&obs(&temps, &freqs, 0.0));
         }
         let d = p.last_decision().expect("two epochs decided");
         assert!(d.reward > 0.0, "drop must be rewarded, got {}", d.reward);
@@ -303,7 +305,7 @@ mod tests {
         let step = |p: &mut ReletaPolicy, k: u64| {
             let t = 45.0 + (k % 9) as f64;
             let temps = [t, t + 2.0, t - 2.0, t];
-            p.observe(&obs(&temps, &freqs, k as f64 * 3.0))
+            p.on_sample(&obs(&temps, &freqs, k as f64 * 3.0))
         };
         for k in 0..50 {
             step(&mut donor, k);

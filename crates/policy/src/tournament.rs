@@ -446,16 +446,14 @@ mod tests {
 
     #[test]
     fn quick_cell_run_produces_finite_metrics() {
-        use crate::{PolicyController, PolicyId};
+        use crate::PolicyId;
         use thermorl_control::ControlConfig;
         use thermorl_sim::run_scenario;
 
         let mut matrix = scenario_matrix(3, true);
         let cell = &mut matrix[0];
         cell.sim.max_sim_time = 30.0; // keep the unit test cheap
-        let controller = Box::new(PolicyController::new(
-            PolicyId::Ucb1.build(ControlConfig::default(), 9),
-        ));
+        let controller = PolicyId::Ucb1.build(ControlConfig::default(), 9);
         let out = run_scenario(&cell.scenario, controller, &cell.sim, 9);
         let m = cell_metrics(&cell.name, "ucb1", &out);
         assert!(m.mttf_years.is_finite() && m.mttf_years <= MTTF_CAP_YEARS);

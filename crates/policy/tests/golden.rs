@@ -6,7 +6,7 @@
 
 use thermorl_control::{ControlConfig, DasDac14Controller};
 use thermorl_platform::CounterSnapshot;
-use thermorl_policy::{PolicyController, PolicyId};
+use thermorl_policy::PolicyId;
 use thermorl_sim::{run_scenario, Observation, SimConfig, ThermalController};
 use thermorl_workload::{alpbench, DataSet, Scenario};
 
@@ -64,7 +64,7 @@ fn trait_path_matches_raw_controller_bit_for_bit() {
     for k in 0..200u64 {
         let (temps, app, switched) = stream(k);
         let a = raw.on_sample(&obs(&temps, &freqs, k, app, switched));
-        let b = via.observe(&obs(&temps, &freqs, k, app, switched));
+        let b = via.on_sample(&obs(&temps, &freqs, k, app, switched));
         assert_eq!(a, b, "actuation diverged at sample {k}");
         assert_eq!(raw.epochs(), via.epochs(), "epochs diverged at sample {k}");
     }
@@ -102,9 +102,7 @@ fn full_scenario_outcome_is_identical_through_the_trait() {
     );
     let via = run_scenario(
         &scenario,
-        Box::new(PolicyController::new(
-            PolicyId::DasDac14.build(ControlConfig::default(), 9),
-        )),
+        PolicyId::DasDac14.build(ControlConfig::default(), 9),
         &sim,
         9,
     );

@@ -34,7 +34,7 @@ fn drive(policy: &mut dyn Policy, from: u64, n: u64, base: f64) -> Vec<Option<Ac
             let k = from + i;
             let t = base + (k % 11) as f64 * 1.3;
             let temps = [t, t + 1.0, t - 1.0, t + 0.5];
-            policy.observe(&obs(&temps, &freqs, k))
+            policy.on_sample(&obs(&temps, &freqs, k))
         })
         .collect()
 }

@@ -9,15 +9,13 @@
 //! per sample. Its results match the batch analyzer on the same series
 //! (see the equivalence property test).
 
-use serde::{Deserialize, Serialize};
-
 use crate::aging::AgingModel;
 use crate::coffin_manson::CyclingParams;
 use crate::rainflow::RainflowCounter;
 use crate::SECONDS_PER_YEAR;
 
 /// Accumulated statistics of the stream so far.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineStats {
     /// Samples consumed.
     pub samples: usize,

@@ -523,6 +523,7 @@ mod tests {
 
     #[test]
     fn unknown_and_missing_fields_error() {
+        assert!(Message::parse(&"[".repeat(100_000)).is_err());
         assert!(Message::parse("{\"type\":\"warp\"}").is_err());
         assert!(Message::parse("{\"die\":\"d\"}").is_err());
         assert!(Message::parse("{\"type\":\"observe\",\"die\":\"d\"}").is_err());

@@ -299,7 +299,7 @@ impl Session {
             counters: CounterSnapshot::default(),
             core_freq_ghz: &freqs,
         };
-        let actuation = self.policy.observe(&obs);
+        let actuation = self.policy.on_sample(&obs);
         self.seq = seq;
         let decision = actuation.map(|act| {
             let d = self

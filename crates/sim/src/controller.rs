@@ -121,6 +121,19 @@ mod tests {
         assert!(c.on_sample(&obs).is_none());
         assert_eq!(c.name(), "linux-ondemand");
         assert_eq!(c.sampling_interval(), 1.0);
+
+        // Not even a burning die across an application switch moves it.
+        let hot = Observation {
+            time: 1.0,
+            sensor_temps: &[90.0; 4],
+            fps: 0.0,
+            perf_constraint: 10.0,
+            app_switched: true,
+            ..obs
+        };
+        for _ in 0..10 {
+            assert!(c.on_sample(&hot).is_none());
+        }
     }
 
     #[test]

@@ -209,11 +209,15 @@ impl Value {
         }
     }
 
-    /// Parses one JSON document (trailing whitespace allowed).
+    /// Parses one JSON document (trailing whitespace allowed). Arrays
+    /// and objects nested deeper than [`MAX_DEPTH`] are an error, so
+    /// hostile input cannot overflow the stack.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -241,9 +245,16 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Value::parse`] accepts. The workspace's
+/// own documents nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -290,11 +301,28 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => err(format!("unexpected {:?} at byte {}", other, self.pos)),
         }
+    }
+
+    /// Parses one array or object, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, JsonError> {
@@ -389,13 +417,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError("invalid utf-8".into()))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape at once.
+                    // Both are ASCII, so the run ends on a char boundary.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -726,6 +754,29 @@ mod tests {
         assert!(Value::parse("{").is_err());
         assert!(Value::parse("[1,").is_err());
         assert!(Value::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn multi_megabyte_string_round_trips() {
+        // 3.8 MB of mixed ASCII, multi-byte characters and escapes: linear
+        // parsing keeps this well under a second even in debug builds.
+        let s = "temp \u{b0}C \"x\"\n\u{1F600} ".repeat(200_000);
+        assert!(s.len() > 3 << 20);
+        let v = Value::Str(s.clone());
+        let parsed = Value::parse(&v.to_json()).expect("parse");
+        assert_eq!(parsed.as_str(), Some(s.as_str()));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let open = "[".repeat(100_000);
+        assert!(Value::parse(&open).is_err());
+        assert!(Value::parse(&"{\"a\":".repeat(100_000)).is_err());
+        // The limit itself still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&ok).is_ok());
+        let over = format!("[{ok}]");
+        assert!(Value::parse(&over).is_err());
     }
 
     fn outcome() -> RunOutcome {

@@ -8,8 +8,6 @@
 //! a fully loaded one in the low-to-mid seventies, matching the temperature
 //! ranges of the paper's Table 2.
 
-use serde::{Deserialize, Serialize};
-
 use crate::network::{NodeId, RcNetwork, RcNetworkBuilder};
 use crate::stepper::Stepper;
 use crate::AMBIENT_C;
@@ -18,7 +16,7 @@ use crate::AMBIENT_C;
 ///
 /// Cores are numbered row-major: core `i` sits at
 /// `(i % width, i / width)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Floorplan {
     width: usize,
     height: usize,
@@ -78,7 +76,7 @@ impl Floorplan {
 /// spreader contact of a big core versus the small, weakly-coupled
 /// LITTLE one. With `hetero: None` the die is homogeneous and builds the
 /// exact same network as before, bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeteroMix {
     /// Number of "big" cores (the first `big_cores` in row-major order).
     pub big_cores: usize,
@@ -141,7 +139,7 @@ impl HeteroMix {
 /// time constant of ≈0.7 s (fast enough that second-scale activity bursts
 /// produce visible thermal cycles) and a heatsink time constant of ≈37 s
 /// (slow drift across application phases).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DieParams {
     /// Heat capacitance of each core node (J/K).
     pub core_capacitance: f64,

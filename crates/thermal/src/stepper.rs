@@ -1,7 +1,5 @@
 //! Time integrators for RC networks.
 
-use serde::{Deserialize, Serialize};
-
 /// Integration scheme for [`crate::RcNetwork::step`].
 ///
 /// `Exact` is the default used by the co-simulation: power is piecewise
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// advances via sparse CSR matvecs only (O(nnz) per stage), so dies too
 /// large to densify `expm`/LU still step. `Auto` picks between the two
 /// per advance from node count and power-churn rate.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Stepper {
     /// First-order explicit Euler: cheap, stable for `dt < max_stable_dt`.
     ForwardEuler,

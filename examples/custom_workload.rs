@@ -55,7 +55,7 @@ fn main() {
             "linux-ondemand",
             run_app(
                 &app,
-                Box::new(LinuxDefaultController::new()),
+                Box::new(NullController::default()),
                 &SimConfig::default(),
                 7,
             ),

@@ -28,7 +28,7 @@ fn main() {
     );
 
     let policies: Vec<Box<dyn ThermalController>> = vec![
-        Box::new(LinuxDefaultController::new()),
+        Box::new(NullController::default()),
         Box::new(GeQiu2011Controller::new(GeConfig::default(), 42)),
         Box::new(DasDac14Controller::new(ControlConfig::default(), 42)),
     ];

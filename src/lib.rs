@@ -50,11 +50,11 @@ pub use thermorl_workload as workload;
 
 /// Commonly used items, re-exported for one-line imports.
 pub mod prelude {
-    pub use thermorl_baselines::{FixedPolicy, GeQiu2011Controller, LinuxDefaultController};
+    pub use thermorl_baselines::{FixedPolicy, GeQiu2011Controller};
     pub use thermorl_control::{ControlConfig, DasDac14Controller};
     pub use thermorl_platform::{AffinityMask, GovernorKind, OppTable};
     pub use thermorl_reliability::{ReliabilityAnalyzer, ReliabilityReport, ThermalProfile};
-    pub use thermorl_sim::{run_app, run_scenario, RunOutcome, SimConfig};
+    pub use thermorl_sim::{run_app, run_scenario, NullController, RunOutcome, SimConfig};
     pub use thermorl_thermal::{DieModel, DieParams, Floorplan};
     pub use thermorl_workload::{alpbench, AppModel, DataSet, Scenario};
 }
