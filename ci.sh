@@ -150,6 +150,39 @@ for row in doc["slowest"]:
 print(f"trace report OK: slo.count={slo['count']}, "
       f"{len(doc['slowest'])} slowest rows")
 EOF
+
+echo "== serve hostile + pipelined input (error replies, in-order stats) =="
+# Against the same live supervisor: a 2 MiB line and a malformed line
+# each get an `error` reply (then EOF), three `stats` lines written at
+# once get three in-order `stats_report` replies, and `serve stats`
+# still answers afterwards.
+timeout 60 python3 - "$(cat "$SERVE_DIR/addr2")" <<'EOF'
+import json, socket, sys
+host, port = sys.argv[1].strip().rsplit(":", 1)
+
+def exchange(payload, replies, then_eof):
+    with socket.create_connection((host, int(port)), timeout=30) as s:
+        s.sendall(payload)
+        f = s.makefile("rb")
+        lines = [json.loads(f.readline()) for _ in range(replies)]
+        if then_eof:
+            rest = f.readline()
+            assert rest == b"", f"connection left open after {lines}: {rest!r}"
+        return lines
+
+for name, payload in (("2 MiB line", b'{"type":"stats","pad":"' + b"x" * (2 << 20) + b'"}\n'),
+                      ("malformed line", b'{"type":\n')):
+    (reply,) = exchange(payload, 1, then_eof=True)
+    assert reply["type"] == "error", f"{name}: {reply}"
+    print(f"{name}: error reply, then EOF ({reply['message'][:60]})")
+replies = exchange(b'{"type":"stats"}\n' * 3, 3, then_eof=False)
+assert [r["type"] for r in replies] == ["stats_report"] * 3, replies
+counts = [r["observes_total"] for r in replies]
+assert counts == sorted(counts), f"stats replies out of order: {counts}"
+print("pipelined stats OK: 3 in-order stats_report replies")
+EOF
+timeout 60 cargo run --release -q -p thermorl-bench --bin serve -- \
+    stats --addr-file "$SERVE_DIR/addr2" > /dev/null
 timeout 60 cargo run --release -q -p thermorl-bench --bin serve -- \
     shutdown --addr-file "$SERVE_DIR/addr2"
 wait "$SERVE_PID"

@@ -15,7 +15,7 @@
 //! store therefore stays codec-free (like `checkpoint::merge`) and the
 //! final checkpoint is byte-identical to a serial run's, sorted by key.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 use thermorl_sim::json::Value;
 use thermorl_telemetry::{slo_summary, summarize_traces, SloConfig, SloSummary, TraceSummary};
@@ -663,15 +663,29 @@ pub fn write_message<W: Write, M: WireMessage>(writer: &mut W, message: &M) -> i
     writer.flush()
 }
 
+/// Longest line [`read_message`] accepts, newline included (1 MiB). A
+/// peer cannot make a reader buffer more than this for one message.
+pub const MAX_LINE_BYTES: u64 = 1 << 20;
+
 /// Reads the next message. `Ok(None)` means the peer closed the
-/// connection cleanly; a malformed line is an error (the protocol has no
-/// resync point). Blank lines are skipped.
+/// connection cleanly; a malformed line, or one longer than
+/// [`MAX_LINE_BYTES`], is an [`io::ErrorKind::InvalidData`] error (the
+/// protocol has no resync point). Blank lines are skipped.
 pub fn read_message<R: BufRead, M: WireMessage>(reader: &mut R) -> io::Result<Option<M>> {
     loop {
         let mut line = String::new();
-        let n = reader.read_line(&mut line)?;
+        let n = reader
+            .by_ref()
+            .take(MAX_LINE_BYTES + 1)
+            .read_line(&mut line)?;
         if n == 0 {
             return Ok(None);
+        }
+        if n as u64 > MAX_LINE_BYTES {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("line longer than {MAX_LINE_BYTES} bytes"),
+            ));
         }
         let trimmed = line.trim_end_matches(['\r', '\n']);
         if trimmed.is_empty() {
@@ -816,5 +830,28 @@ mod tests {
         assert!(Message::parse("{\"type\":\"warp\"}").is_err());
         assert!(Message::parse("{\"no_type\":1}").is_err());
         assert!(Message::parse(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn oversized_lines_are_errors() {
+        // A message padded to exactly the cap (newline included) reads;
+        // one byte more is an error, not a bigger buffer.
+        let padded = |len: usize| {
+            let mut line = Message::Done.to_line();
+            line.push_str(&" ".repeat(len - 1 - line.len()));
+            line.push('\n');
+            line
+        };
+        let cap = MAX_LINE_BYTES as usize;
+        let (at_cap, over_cap) = (padded(cap), padded(cap + 1));
+        let mut reader = std::io::BufReader::new(at_cap.as_bytes());
+        assert_eq!(
+            read_message(&mut reader).expect("read"),
+            Some(Message::Done)
+        );
+        let mut reader = std::io::BufReader::new(over_cap.as_bytes());
+        let err = read_message::<_, Message>(&mut reader).expect_err("over the cap");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("longer than"), "{err}");
     }
 }

@@ -15,13 +15,12 @@
 //! by whether a die happened to share its step with neighbours.
 
 use std::collections::HashMap;
-use std::sync::mpsc::Sender;
 
 use thermorl_telemetry::TraceSpan;
 use thermorl_thermal::{DieBatch, DieModel, DieParams, Floorplan};
 
-use crate::proto::Message;
 use crate::session::Session;
+use crate::supervisor::Reply;
 
 /// An observe admitted to the current micro-batch: validated, powers
 /// applied to its die, waiting for the shared advance and its reply.
@@ -36,7 +35,7 @@ pub(crate) struct PendingObserve {
     /// Its context parents/links the batch step's span.
     pub span: Option<TraceSpan>,
     /// Where the `Ack` goes once the batch flushes.
-    pub reply: Sender<Message>,
+    pub reply: Reply,
 }
 
 /// Per-shard batched-stepping scratch: one [`DieBatch`] per die shape
@@ -188,7 +187,7 @@ mod tests {
                     seq,
                     values: vals,
                     span: None,
-                    reply: tx.clone(),
+                    reply: Reply::new(0, tx.clone()),
                 });
             }
             batcher.advance(&pending, &mut batched);
@@ -258,7 +257,7 @@ mod tests {
                 seq,
                 values: vals.clone(),
                 span: None,
-                reply: tx.clone(),
+                reply: Reply::new(0, tx.clone()),
             }];
             batcher.advance(&pending, &mut sessions);
             let b = sessions.get_mut("solo").unwrap().finish_step(seq, &vals);

@@ -362,6 +362,7 @@ fn report_line(report: &StatsReport) -> String {
         .set("observes_total", Value::UInt(report.observes_total))
         .set("decisions_total", Value::UInt(report.decisions_total))
         .set("snapshot_writes", Value::UInt(report.snapshot_writes))
+        .set("rejected", Value::UInt(report.rejected))
         .set("slo", thermorl_dispatch::proto::slo_to_value(&report.slo));
     v.to_json()
 }

@@ -91,6 +91,9 @@ pub struct StatsReport {
     pub decisions_total: u64,
     /// Session snapshots written to the store.
     pub snapshot_writes: u64,
+    /// Requests answered `overloaded` because their shard's queue was
+    /// full.
+    pub rejected: u64,
     /// SLO state of the supervisor's `serve.request` span (all-zero when
     /// telemetry is off).
     pub slo: SloSummary,
@@ -273,6 +276,7 @@ impl WireMessage for Message {
                     .set("observes_total", Value::UInt(report.observes_total))
                     .set("decisions_total", Value::UInt(report.decisions_total))
                     .set("snapshot_writes", Value::UInt(report.snapshot_writes))
+                    .set("rejected", Value::UInt(report.rejected))
                     .set("slo", slo_to_value(&report.slo));
             }
             Message::Trace { max } => {
@@ -349,6 +353,7 @@ impl WireMessage for Message {
                 observes_total: u64_field(&v, &tag, "observes_total")?,
                 decisions_total: u64_field(&v, &tag, "decisions_total")?,
                 snapshot_writes: u64_field(&v, &tag, "snapshot_writes")?,
+                rejected: u64_field(&v, &tag, "rejected")?,
                 slo: slo_from_value(
                     v.get("slo")
                         .ok_or_else(|| format!("{tag} message missing \"slo\""))?,
@@ -453,6 +458,7 @@ mod tests {
             observes_total: 1000,
             decisions_total: 100,
             snapshot_writes: 25,
+            rejected: 3,
             slo: SloSummary {
                 count: 1000,
                 p50_ns: 8192,

@@ -4,10 +4,18 @@
 //! sharded across worker threads by die-id hash
 //! ([`thermorl_runner::shard_of`]), so all samples for one die serialize
 //! through one thread (no locks around agent state) while distinct dies
-//! proceed in parallel. Connection threads are thin: they parse one
-//! NDJSON request, route it to the owning shard over a channel, and
-//! write the shard's reply back — so any client can speak for any die,
-//! and several clients can share a die without corrupting its stream.
+//! proceed in parallel. Connection threads are thin and pipelined: each
+//! reads a *round* — one blocking line, then every complete line already
+//! buffered, up to 256 — and moves every die request onto its
+//! shard's bounded queue as soon as it is parsed, tagged with its slot in
+//! the round and the connection's one completion channel. The thread then
+//! collects the completions and writes the round's replies in request
+//! order with one flush. `stats`, `trace` and `shutdown` are answered on
+//! the connection thread after every earlier reply of the round is
+//! written, so they see (and follow) the requests sent before them. Any
+//! client can speak for any die, and several clients can share a die
+//! without corrupting its stream: one connection's requests reach a
+//! shard in read order.
 //!
 //! # Crash safety
 //!
@@ -21,17 +29,17 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown as SocketShutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use thermorl_control::ControlConfig;
-use thermorl_dispatch::proto::{read_message, write_message};
+use thermorl_dispatch::proto::{read_message, WireMessage};
 use thermorl_dispatch::CheckpointStore;
 use thermorl_policy::PolicyId;
 use thermorl_runner::{job_seed, shard_of};
@@ -104,6 +112,7 @@ struct Stats {
     observes_total: AtomicU64,
     decisions_total: AtomicU64,
     snapshot_writes: AtomicU64,
+    rejected: AtomicU64,
 }
 
 impl Stats {
@@ -114,6 +123,7 @@ impl Stats {
             observes_total: self.observes_total.load(Ordering::Relaxed),
             decisions_total: self.decisions_total.load(Ordering::Relaxed),
             snapshot_writes: self.snapshot_writes.load(Ordering::Relaxed),
+            rejected: self.rejected.load(Ordering::Relaxed),
             slo: request_slo(slo),
         }
     }
@@ -132,17 +142,69 @@ fn request_slo(cfg: &tel::SloConfig) -> tel::SloSummary {
         })
 }
 
+/// Capacity of each shard's request queue. A request that finds its
+/// shard's queue full is answered [`OVERLOADED`] at once, never queued
+/// without bound or dropped. One connection has at most [`MAX_ROUND`]
+/// requests queued, so only many connections bursting at one shard can
+/// fill it. The queue holds boxed requests: its slots are allocated up
+/// front, and a pointer per slot keeps that small.
+const SHARD_QUEUE: usize = 1024;
+
+/// Most requests one connection reads into a round before answering them
+/// (the same bound as a shard's micro-batch drain).
+const MAX_ROUND: usize = MAX_DRAIN;
+
+/// The error a request gets when its shard's queue is full.
+const OVERLOADED: &str = "overloaded: shard queue full";
+
+/// A die request on its way to the owning shard.
 struct ShardRequest {
     msg: Message,
     /// The `serve.request` span's context — the shard's spans nest under
     /// the connection thread's, keeping one trace across both threads.
     ctx: Option<tel::SpanContext>,
-    reply: Sender<Message>,
+    reply: Reply,
+}
+
+/// Where one request's answer goes: its slot in the connection's current
+/// round, over the connection's completion channel. Every `Reply` answers
+/// exactly once — if it is dropped unsent (a panicked shard), it answers
+/// `request dropped`, so its connection never waits forever.
+pub(crate) struct Reply {
+    slot: usize,
+    tx: Option<Sender<(usize, Message)>>,
+}
+
+impl Reply {
+    pub(crate) fn new(slot: usize, tx: Sender<(usize, Message)>) -> Reply {
+        Reply { slot, tx: Some(tx) }
+    }
+
+    /// Sends the answer. The client may have hung up; a dead completion
+    /// channel is fine.
+    pub(crate) fn send(mut self, reply: Message) {
+        if let Some(tx) = self.tx.take() {
+            let _ = tx.send((self.slot, reply));
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if let Some(tx) = self.tx.take() {
+            let _ = tx.send((
+                self.slot,
+                Message::Error {
+                    message: "request dropped".into(),
+                },
+            ));
+        }
+    }
 }
 
 /// Everything a connection thread needs.
 struct Shared {
-    shards: Vec<Sender<ShardRequest>>,
+    shards: Vec<SyncSender<Box<ShardRequest>>>,
     stats: Arc<Stats>,
     stop: Arc<AtomicBool>,
     hard: Arc<AtomicBool>,
@@ -239,7 +301,7 @@ impl Supervisor {
         let mut senders = Vec::with_capacity(shards);
         let mut shard_handles = Vec::with_capacity(shards);
         for pending in per_shard {
-            let (tx, rx) = mpsc::channel::<ShardRequest>();
+            let (tx, rx) = mpsc::sync_channel::<Box<ShardRequest>>(SHARD_QUEUE);
             senders.push(tx);
             let store = Arc::clone(&store);
             let stats = Arc::clone(&stats);
@@ -325,15 +387,31 @@ fn accept_loop(
     stop: Arc<AtomicBool>,
     quiet: bool,
 ) -> io::Result<ServeReport> {
-    let mut conn_handles = Vec::new();
-    let mut open_streams: Vec<TcpStream> = Vec::new();
+    // Live connections only: each handler removes its own socket clone
+    // when it exits, and finished threads are reaped on every accept, so
+    // short connections leak neither fds nor join handles.
+    let live: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::default();
+    let mut conn_handles: Vec<JoinHandle<()>> = Vec::new();
+    let mut next_id = 0u64;
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                open_streams.push(stream.try_clone()?);
+                conn_handles.retain(|h| !h.is_finished());
+                // Replies go out as soon as a round is written, not when
+                // the client's next request happens to arrive.
+                let Ok(watch) = stream.set_nodelay(true).and_then(|()| stream.try_clone()) else {
+                    continue; // drop just this connection
+                };
+                let id = next_id;
+                next_id += 1;
+                live.lock()
+                    .expect("live connections lock")
+                    .insert(id, watch);
                 let shared = Arc::clone(&shared);
+                let live = Arc::clone(&live);
                 conn_handles.push(thread::spawn(move || {
                     let _ = handle_connection(stream, &shared);
+                    live.lock().expect("live connections lock").remove(&id);
                 }));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -343,7 +421,7 @@ fn accept_loop(
         }
     }
     // Unblock connection threads stuck in a read, then wait for them.
-    for stream in &open_streams {
+    for stream in live.lock().expect("live connections lock").values() {
         let _ = stream.shutdown(SocketShutdown::Both);
     }
     for handle in conn_handles {
@@ -370,71 +448,228 @@ fn accept_loop(
     Ok(report)
 }
 
-fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    while let Some(msg) = read_message::<_, Message>(&mut reader)? {
-        // An observe carrying a traceparent joins the client's trace;
-        // everything else roots a fresh one. Either way the span feeds
-        // the aggregate `serve.request` stats (and so the SLO).
-        let parent = match &msg {
-            Message::Observe {
-                trace: Some(trace), ..
-            } => tel::SpanContext::parse_traceparent(trace),
-            _ => None,
-        };
-        let span = tel::TraceSpan::with_parent("serve.request", parent);
-        let ctx = span.context();
-        let reply = match msg {
-            Message::Stats => Message::Report(shared.stats.report(&shared.slo)),
-            Message::Trace { max } => {
-                Message::Traces(thermorl_dispatch::proto::build_trace_report(
-                    &tel::snapshot(),
-                    "serve.request",
-                    &shared.slo,
-                    max.min(256) as usize,
-                ))
-            }
-            Message::Shutdown { hard } => {
-                if hard {
-                    shared.hard.store(true, Ordering::SeqCst);
-                }
-                shared.stop.store(true, Ordering::SeqCst);
-                Message::ShuttingDown
-            }
-            Message::Attach { ref die, .. }
-            | Message::Observe { ref die, .. }
-            | Message::Detach { ref die } => {
-                let shard = shard_of(die, shared.shards.len());
-                let (tx, rx) = mpsc::channel();
-                let routed = shared.shards[shard]
-                    .send(ShardRequest {
-                        msg: msg.clone(),
-                        ctx,
-                        reply: tx,
-                    })
-                    .is_ok();
-                if routed {
-                    rx.recv().unwrap_or(Message::Error {
-                        message: "supervisor is shutting down".into(),
-                    })
-                } else {
-                    Message::Error {
-                        message: "supervisor is shutting down".into(),
-                    }
-                }
-            }
-            other => Message::Error {
-                message: format!("unexpected client message: {other:?}"),
-            },
-        };
-        let done = matches!(reply, Message::ShuttingDown);
-        write_message(&mut writer, &reply)?;
-        if done {
-            break;
+/// One connection's requests read since its replies were last written.
+struct Round {
+    /// One reply per request, in read order; `None` while a shard owes it.
+    replies: Vec<Option<Message>>,
+    /// Each request's `serve.request` span, open from its parse until its
+    /// reply is written.
+    spans: Vec<tel::TraceSpan>,
+    /// Routed requests whose completion has not arrived yet.
+    outstanding: usize,
+    /// The connection's completion channel: every routed request carries
+    /// a clone of `tx` in its [`Reply`].
+    tx: Sender<(usize, Message)>,
+    rx: Receiver<(usize, Message)>,
+}
+
+impl Round {
+    fn new() -> Round {
+        let (tx, rx) = mpsc::channel();
+        Round {
+            replies: Vec::with_capacity(MAX_ROUND),
+            spans: Vec::with_capacity(MAX_ROUND),
+            outstanding: 0,
+            tx,
+            rx,
         }
     }
-    Ok(())
+
+    fn len(&self) -> usize {
+        self.replies.len()
+    }
+
+    /// Opens a slot for a request a shard will answer.
+    fn owe(&mut self, span: tel::TraceSpan) -> Reply {
+        let reply = Reply::new(self.replies.len(), self.tx.clone());
+        self.replies.push(None);
+        self.spans.push(span);
+        self.outstanding += 1;
+        reply
+    }
+
+    /// Fills a slot with a reply the connection thread made itself.
+    fn answer(&mut self, reply: Message, span: tel::TraceSpan) {
+        self.replies.push(Some(reply));
+        self.spans.push(span);
+    }
+
+    /// Waits for every routed request, writes all replies in request
+    /// order, flushes once, and closes the requests' spans.
+    fn settle(&mut self, writer: &mut impl Write) -> io::Result<()> {
+        while self.outstanding > 0 {
+            let (slot, reply) = self.rx.recv().expect("the round holds a sender");
+            self.replies[slot] = Some(reply);
+            self.outstanding -= 1;
+        }
+        for reply in self.replies.drain(..) {
+            write_line(
+                writer,
+                &reply.expect("every request of a settled round is answered"),
+            )?;
+        }
+        writer.flush()?;
+        // Innermost first: each drop pops the top of the span stack.
+        while self.spans.pop().is_some() {}
+        Ok(())
+    }
+}
+
+fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
+    let mut reader = BufReader::new(stream.try_clone()?);
+    // Room for a full round of replies, so a round leaves in one write.
+    let mut writer = BufWriter::with_capacity(1 << 16, stream);
+    let mut round = Round::new();
+    loop {
+        // Read a round: block for one request, then take every complete
+        // line the reader already holds.
+        let mut last = false;
+        loop {
+            match read_message::<_, Message>(&mut reader) {
+                Ok(Some(msg)) => {
+                    if !start_request(msg, shared, &mut round, &mut writer)? {
+                        last = true;
+                        break;
+                    }
+                }
+                Ok(None) => {
+                    last = true;
+                    break;
+                }
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                    // No resync point: answer what is owed, say why, close.
+                    round.settle(&mut writer)?;
+                    let error = Message::Error {
+                        message: format!("bad request, closing connection: {e}"),
+                    };
+                    write_line(&mut writer, &error)?;
+                    writer.flush()?;
+                    hang_up(&mut reader);
+                    return Ok(());
+                }
+                Err(e) => return Err(e),
+            }
+            if round.len() >= MAX_ROUND || !line_buffered(&mut reader) {
+                break;
+            }
+        }
+        round.settle(&mut writer)?;
+        if last {
+            return Ok(());
+        }
+    }
+}
+
+/// Buffers one reply line (the caller flushes).
+fn write_line(writer: &mut impl Write, reply: &Message) -> io::Result<()> {
+    writer.write_all(reply.to_line().as_bytes())?;
+    writer.write_all(b"\n")
+}
+
+/// Whether the reader already holds a complete non-blank line, so reading
+/// the next request cannot block. Leading blank-line bytes are consumed
+/// (`read_message` skips blank lines, and must not block on the line
+/// after them while this round's replies are owed).
+fn line_buffered(reader: &mut BufReader<TcpStream>) -> bool {
+    let blank = reader
+        .buffer()
+        .iter()
+        .take_while(|&&b| b == b'\n' || b == b'\r')
+        .count();
+    reader.consume(blank);
+    reader.buffer().contains(&b'\n')
+}
+
+/// Starts one parsed request. A die request moves to its shard's queue;
+/// `stats`, `trace` and `shutdown` first settle the round so far, then are
+/// answered here. Returns `false` after `shutdown`, the connection's last
+/// request.
+fn start_request(
+    msg: Message,
+    shared: &Shared,
+    round: &mut Round,
+    writer: &mut impl Write,
+) -> io::Result<bool> {
+    // An observe carrying a traceparent joins the client's trace;
+    // everything else roots a fresh one. Either way the span feeds the
+    // aggregate `serve.request` stats (and so the SLO).
+    let parent = match &msg {
+        Message::Observe {
+            trace: Some(trace), ..
+        } => tel::SpanContext::parse_traceparent(trace),
+        _ => None,
+    };
+    let span = tel::TraceSpan::with_parent("serve.request", parent);
+    let ctx = span.context();
+    if let Message::Attach { die, .. } | Message::Observe { die, .. } | Message::Detach { die } =
+        &msg
+    {
+        let shard = shard_of(die, shared.shards.len());
+        let reply = round.owe(span);
+        route(shared, shard, Box::new(ShardRequest { msg, ctx, reply }));
+        return Ok(true);
+    }
+    round.settle(writer)?;
+    let reply = match msg {
+        Message::Stats => Message::Report(shared.stats.report(&shared.slo)),
+        Message::Trace { max } => Message::Traces(thermorl_dispatch::proto::build_trace_report(
+            &tel::snapshot(),
+            "serve.request",
+            &shared.slo,
+            max.min(256) as usize,
+        )),
+        Message::Shutdown { hard } => {
+            if hard {
+                shared.hard.store(true, Ordering::SeqCst);
+            }
+            shared.stop.store(true, Ordering::SeqCst);
+            Message::ShuttingDown
+        }
+        other => Message::Error {
+            message: format!("unexpected client message: {other:?}"),
+        },
+    };
+    let more = !matches!(reply, Message::ShuttingDown);
+    round.answer(reply, span);
+    Ok(more)
+}
+
+/// Queues a die request on its shard without blocking. A full queue
+/// answers [`OVERLOADED`] at once and counts the rejection; a stopped
+/// shard answers that the supervisor is shutting down.
+fn route(shared: &Shared, shard: usize, req: Box<ShardRequest>) {
+    match shared.shards[shard].try_send(req) {
+        Ok(()) => {}
+        Err(TrySendError::Full(req)) => {
+            shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            tel::counter!("serve.rejected");
+            req.reply.send(Message::Error {
+                message: OVERLOADED.into(),
+            });
+        }
+        Err(TrySendError::Disconnected(req)) => req.reply.send(Message::Error {
+            message: "supervisor is shutting down".into(),
+        }),
+    }
+}
+
+/// Closes a connection whose input cannot be parsed. The write side shuts
+/// first, so the client reads EOF right after the error reply; then what
+/// the client is still sending is discarded for up to a second, because
+/// closing a socket with unread input resets the connection and can
+/// destroy the error reply before the client reads it.
+fn hang_up(reader: &mut BufReader<TcpStream>) {
+    let stream = reader.get_mut();
+    let _ = stream.shutdown(SocketShutdown::Write);
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let mut sink = [0u8; 1 << 14];
+    while Instant::now() < deadline {
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+    }
 }
 
 /// Most requests a shard drains from its channel into one micro-batch
@@ -452,7 +687,7 @@ const MAX_DRAIN: usize = 256;
 /// client streaming one die the drain holds one request and behaviour is
 /// identical to unbatched serving, bit for bit.
 fn run_shard(
-    rx: Receiver<ShardRequest>,
+    rx: Receiver<Box<ShardRequest>>,
     mut pending: HashMap<String, Value>,
     store: Arc<Mutex<CheckpointStore>>,
     stats: Arc<Stats>,
@@ -465,12 +700,12 @@ fn run_shard(
     let mut batch: Vec<PendingObserve> = Vec::new();
     loop {
         match rx.recv() {
-            Ok(req) => queue.push_back(req),
+            Ok(req) => queue.push_back(*req),
             Err(_) => break,
         }
         while queue.len() < MAX_DRAIN {
             match rx.try_recv() {
-                Ok(req) => queue.push_back(req),
+                Ok(req) => queue.push_back(*req),
                 Err(_) => break,
             }
         }
@@ -497,9 +732,7 @@ fn run_shard(
                         &stats,
                         &cfg,
                     );
-                    // The client may have hung up; a dead reply channel
-                    // is fine.
-                    let _ = req.reply.send(reply);
+                    req.reply.send(reply);
                 }
             }
         }
@@ -566,7 +799,7 @@ fn try_admit(
         // Unreachable given the admissibility checks, but degrade to the
         // scalar protocol answers rather than panicking a shard.
         Ok(BeginOutcome::Duplicate) => {
-            let _ = req.reply.send(Message::Ack {
+            req.reply.send(Message::Ack {
                 die,
                 seq,
                 duplicate: true,
@@ -575,7 +808,7 @@ fn try_admit(
             None
         }
         Err(message) => {
-            let _ = req.reply.send(Message::Error { message });
+            req.reply.send(Message::Error { message });
             None
         }
     }
@@ -620,7 +853,7 @@ fn flush_batch(
                 write_snapshot(session, store, stats);
             }
         }
-        let _ = p.reply.send(Message::Ack {
+        p.reply.send(Message::Ack {
             die: p.die,
             seq: p.seq,
             duplicate: false,
@@ -800,4 +1033,71 @@ fn write_snapshot(session: &Session, store: &Arc<Mutex<CheckpointStore>>, stats:
     }
     stats.snapshot_writes.fetch_add(1, Ordering::Relaxed);
     tel::counter!("serve.snapshot_writes");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A full shard queue answers the next request `overloaded` at once
+    /// and counts it: the connection neither blocks nor loses the request.
+    #[test]
+    fn full_shard_queue_rejects_with_a_typed_error() {
+        let (queue, _stalled_shard) = mpsc::sync_channel(SHARD_QUEUE);
+        let shared = Shared {
+            shards: vec![queue],
+            stats: Arc::default(),
+            stop: Arc::default(),
+            hard: Arc::default(),
+            slo: tel::SloConfig::default(),
+        };
+        let mut round = Round::new();
+        for seq in 1..=SHARD_QUEUE as u64 + 1 {
+            let reply = round.owe(tel::TraceSpan::with_parent("serve.request", None));
+            let msg = Message::Observe {
+                die: "d".into(),
+                seq,
+                values: vec![1.0],
+                trace: None,
+            };
+            route(
+                &shared,
+                0,
+                Box::new(ShardRequest {
+                    msg,
+                    ctx: None,
+                    reply,
+                }),
+            );
+        }
+        assert_eq!(
+            round
+                .rx
+                .try_recv()
+                .expect("the rejection is answered at once"),
+            (
+                SHARD_QUEUE,
+                Message::Error {
+                    message: OVERLOADED.into()
+                }
+            )
+        );
+        assert!(round.rx.try_recv().is_err(), "queued requests stay owed");
+        assert_eq!(shared.stats.report(&shared.slo).rejected, 1);
+    }
+
+    /// A request dropped unanswered (as a panicking shard drops its
+    /// queue) still completes its slot, so its connection never hangs.
+    #[test]
+    fn dropped_reply_answers_request_dropped() {
+        let (tx, rx) = mpsc::channel();
+        drop(Reply::new(7, tx.clone()));
+        Reply::new(8, tx).send(Message::ShuttingDown);
+        let dropped = Message::Error {
+            message: "request dropped".into(),
+        };
+        assert_eq!(rx.try_recv(), Ok((7, dropped)));
+        assert_eq!(rx.try_recv(), Ok((8, Message::ShuttingDown)));
+        assert!(rx.try_recv().is_err(), "a sent reply answers only once");
+    }
 }

@@ -1,13 +1,13 @@
 //! Loopback tests of the serving supervisor: full TCP round trips, the
-//! kill-and-restart recovery contract, stats, telemetry, and the wire
-//! error paths.
+//! kill-and-restart recovery contract, stats, telemetry, pipelined
+//! requests, and the wire error paths.
 
 use std::collections::HashMap;
-use std::io::BufReader;
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 
-use thermorl_dispatch::proto::{read_message, write_message};
+use thermorl_dispatch::proto::{read_message, write_message, WireMessage, MAX_LINE_BYTES};
 use thermorl_serve::bench::power_values;
 use thermorl_serve::{
     Decision, Message, ServeConfig, Supervisor, SupervisorHandle, SERVE_PROTOCOL_VERSION,
@@ -466,6 +466,258 @@ fn protocol_errors_answer_cleanly() {
     }));
     assert!(msg.contains("not attached"), "{msg}");
 
+    assert_eq!(
+        client.roundtrip(&Message::Shutdown { hard: true }),
+        Message::ShuttingDown
+    );
+    handle.join().expect("join");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+impl Client {
+    /// Writes every message in `msgs` with one `write_all` (a pipelined
+    /// burst: no reply is read in between).
+    fn burst(&mut self, msgs: &[Message]) {
+        let mut bytes = String::new();
+        for msg in msgs {
+            bytes.push_str(&msg.to_line());
+            bytes.push('\n');
+        }
+        self.writer
+            .write_all(bytes.as_bytes())
+            .expect("write burst");
+    }
+
+    /// Reads one reply line, without its newline (`None` at EOF).
+    fn read_line(&mut self) -> Option<String> {
+        let mut line = String::new();
+        let n = self.reader.read_line(&mut line).expect("read");
+        (n > 0).then(|| line.trim_end().to_string())
+    }
+
+    /// Reads one reply.
+    fn read(&mut self) -> Message {
+        Message::parse(&self.read_line().expect("reply")).expect("parse reply")
+    }
+}
+
+fn observe(die_idx: usize, seq: u64) -> Message {
+    Message::Observe {
+        die: die_name(die_idx),
+        seq,
+        values: power_values(die_idx, seq, CORES),
+        trace: None,
+    }
+}
+
+/// Sixteen dies, the first few of which land on each of the test
+/// config's two shards.
+const PIPE_DIES: usize = 16;
+
+fn assert_dies_span_both_shards() {
+    let shards: std::collections::HashSet<usize> = (0..PIPE_DIES)
+        .map(|d| thermorl_runner::shard_of(&die_name(d), config(Path::new("x")).shards))
+        .collect();
+    assert_eq!(shards.len(), 2, "the test dies must exercise both shards");
+}
+
+/// A pipelined burst — 64 observes spread over both shards, then
+/// `stats`, in one write — is answered in request order, and `stats`
+/// counts every observe sent before it.
+#[test]
+fn pipelined_burst_is_answered_in_request_order() {
+    assert_dies_span_both_shards();
+    let dir = temp_dir("pipeline-order");
+    let handle = Supervisor::spawn(config(&dir.join("store.jsonl"))).expect("spawn");
+    let mut client = Client::connect(&handle);
+    for d in 0..PIPE_DIES {
+        assert_eq!(client.attach(&die_name(d)), (false, 0));
+    }
+    let mut burst: Vec<Message> = (1..=4u64)
+        .flat_map(|seq| (0..PIPE_DIES).map(move |d| observe(d, seq)))
+        .collect();
+    assert_eq!(burst.len(), 64);
+    burst.push(Message::Stats);
+    client.burst(&burst);
+    for sent in &burst[..64] {
+        let Message::Observe { die, seq, .. } = sent else {
+            unreachable!("the burst starts with observes")
+        };
+        match client.read() {
+            Message::Ack {
+                die: got_die,
+                seq: got_seq,
+                duplicate: false,
+                ..
+            } => assert_eq!((&got_die, got_seq), (die, *seq), "reply out of order"),
+            other => panic!("observe {die}/{seq} got {other:?}"),
+        }
+    }
+    match client.read() {
+        Message::Report(report) => assert_eq!(report.observes_total, 64),
+        other => panic!("stats got {other:?}"),
+    }
+    assert_eq!(
+        client.roundtrip(&Message::Shutdown { hard: true }),
+        Message::ShuttingDown
+    );
+    handle.join().expect("join");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The store compacted the way a restart compacts it: the last snapshot
+/// line per die, ordered by die.
+fn compacted_store(path: &Path) -> Vec<String> {
+    let text = std::fs::read_to_string(path).expect("read store");
+    let mut latest: std::collections::BTreeMap<String, String> = Default::default();
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        let v = thermorl_sim::json::Value::parse(line).expect("store line parses");
+        let key = v.get("key").and_then(|k| k.as_str()).expect("keyed line");
+        latest.insert(key.to_string(), line.to_string());
+    }
+    latest.into_values().collect()
+}
+
+/// Pipelining changes nothing but timing: the same seeded streams, sent
+/// stop-and-wait or with every die's next observe in one burst, produce
+/// byte-identical reply streams and byte-identical compacted stores.
+#[test]
+fn pipelined_and_stop_and_wait_runs_are_byte_identical() {
+    const SEQS: u64 = 12;
+    assert_dies_span_both_shards();
+    let dir = temp_dir("pipeline-identical");
+    let run = |store: &Path, pipelined: bool| -> Vec<String> {
+        let handle = Supervisor::spawn(config(store)).expect("spawn");
+        let mut client = Client::connect(&handle);
+        for d in 0..PIPE_DIES {
+            assert_eq!(client.attach(&die_name(d)), (false, 0));
+        }
+        let mut replies = Vec::new();
+        for seq in 1..=SEQS {
+            let msgs: Vec<Message> = (0..PIPE_DIES).map(|d| observe(d, seq)).collect();
+            if pipelined {
+                client.burst(&msgs);
+            }
+            for msg in &msgs {
+                if !pipelined {
+                    write_message(&mut client.writer, msg).expect("write");
+                }
+                replies.push(client.read_line().expect("reply"));
+            }
+        }
+        assert_eq!(
+            client.roundtrip(&Message::Shutdown { hard: false }),
+            Message::ShuttingDown
+        );
+        handle.join().expect("join");
+        replies
+    };
+    let (serial_store, piped_store) = (dir.join("serial.jsonl"), dir.join("piped.jsonl"));
+    let serial = run(&serial_store, false);
+    let piped = run(&piped_store, true);
+    assert_eq!(serial.len(), PIPE_DIES * SEQS as usize);
+    assert!(
+        serial.iter().any(|l| l.contains("\"decision\"")),
+        "the streams include decisions"
+    );
+    assert_eq!(serial, piped, "ack/decision streams must be byte-identical");
+    let compacted = compacted_store(&serial_store);
+    assert_eq!(compacted.len(), PIPE_DIES);
+    assert_eq!(
+        compacted,
+        compacted_store(&piped_store),
+        "compacted snapshot stores must be byte-identical"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A hard `shutdown` in the middle of a burst answers every request
+/// before it first, then `shutting_down`, then closes; nothing after it
+/// is served.
+#[test]
+fn shutdown_mid_burst_answers_earlier_requests_first() {
+    let dir = temp_dir("pipeline-shutdown");
+    let handle = Supervisor::spawn(config(&dir.join("store.jsonl"))).expect("spawn");
+    let mut client = Client::connect(&handle);
+    for d in 0..4 {
+        assert_eq!(client.attach(&die_name(d)), (false, 0));
+    }
+    let mut burst: Vec<Message> = (0..4).map(|d| observe(d, 1)).collect();
+    burst.push(Message::Shutdown { hard: true });
+    burst.extend((0..4).map(|d| observe(d, 2)));
+    client.burst(&burst);
+    for d in 0..4 {
+        match client.read() {
+            Message::Ack { die, seq: 1, .. } => assert_eq!(die, die_name(d)),
+            other => panic!("observe {d}/1 got {other:?}"),
+        }
+    }
+    assert_eq!(client.read(), Message::ShuttingDown);
+    assert_eq!(
+        client.read_line(),
+        None,
+        "the connection closes after shutdown"
+    );
+    handle.join().expect("join");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A line the server cannot parse — oversized or malformed — gets the
+/// replies already owed, then a typed `error`, then EOF: the client
+/// never hangs.
+#[test]
+fn hostile_lines_get_an_error_then_eof() {
+    let dir = temp_dir("hostile");
+    let handle = Supervisor::spawn(config(&dir.join("store.jsonl"))).expect("spawn");
+    let oversized = format!(
+        "{{\"type\":\"stats\",\"pad\":\"{}\"}}\n",
+        "x".repeat(2 * MAX_LINE_BYTES as usize)
+    );
+    for hostile in [oversized.as_str(), "{\"type\":\"stats\"\n", "not json\n"] {
+        let mut client = Client::connect(&handle);
+        let mut bytes = Message::Stats.to_line();
+        bytes.push('\n');
+        bytes.push_str(hostile);
+        client.writer.write_all(bytes.as_bytes()).expect("write");
+        assert!(
+            matches!(client.read(), Message::Report(_)),
+            "the reply owed before the bad line comes first"
+        );
+        match client.read() {
+            Message::Error { message } => assert!(message.contains("bad request"), "{message}"),
+            other => panic!("hostile line got {other:?}"),
+        }
+        assert_eq!(client.read_line(), None, "then the connection closes");
+    }
+    // The supervisor itself is unharmed.
+    let mut client = Client::connect(&handle);
+    assert!(matches!(
+        client.roundtrip(&Message::Stats),
+        Message::Report(_)
+    ));
+    assert_eq!(
+        client.roundtrip(&Message::Shutdown { hard: true }),
+        Message::ShuttingDown
+    );
+    handle.join().expect("join");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Blank lines after a pipelined request are skipped without waiting
+/// for another request: the reply owed for the request comes back.
+#[test]
+fn trailing_blank_lines_do_not_stall_a_round() {
+    let dir = temp_dir("blank-lines");
+    let handle = Supervisor::spawn(config(&dir.join("store.jsonl"))).expect("spawn");
+    let mut client = Client::connect(&handle);
+    client
+        .writer
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut bytes = Message::Stats.to_line();
+    bytes.push_str("\n\n\r\n");
+    client.writer.write_all(bytes.as_bytes()).expect("write");
+    assert!(matches!(client.read(), Message::Report(_)));
     assert_eq!(
         client.roundtrip(&Message::Shutdown { hard: true }),
         Message::ShuttingDown
