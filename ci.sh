@@ -74,7 +74,9 @@ echo "== dispatch loopback smoke (serve + status + work) =="
 # any dispatched job failed).
 SMOKE_DIR=$(mktemp -d)
 SERVE_DIR=$(mktemp -d)
-trap 'rm -rf "$SMOKE_DIR" "$SERVE_DIR"' EXIT
+# On any exit, failed steps included, stop the servers started in the
+# background and remove their directories.
+trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$SMOKE_DIR" "$SERVE_DIR" "${LIMIT_DIR:-}"' EXIT
 timeout 300 cargo run --release -q -p thermorl-bench --bin run_all -- \
     dispatch serve --addr 127.0.0.1:0 --addr-file "$SMOKE_DIR/addr" \
     --store "$SMOKE_DIR/store.jsonl" --filter fig1/ \
@@ -84,6 +86,19 @@ for _ in $(seq 100); do [ -s "$SMOKE_DIR/addr" ] && break; sleep 0.1; done
 [ -s "$SMOKE_DIR/addr" ] || { echo "coordinator never bound"; exit 1; }
 timeout 60 cargo run --release -q -p thermorl-bench --bin run_all -- \
     dispatch status --coordinator-file "$SMOKE_DIR/addr"
+# A line the coordinator cannot parse gets an `error` reply, then EOF.
+timeout 60 python3 - "$(cat "$SMOKE_DIR/addr")" <<'EOF'
+import json, socket, sys
+host, port = sys.argv[1].strip().rsplit(":", 1)
+with socket.create_connection((host, int(port)), timeout=30) as s:
+    s.sendall(b'{"type":\n')
+    f = s.makefile("rb")
+    reply = json.loads(f.readline())
+    assert reply["type"] == "error", reply
+    rest = f.readline()
+    assert rest == b"", f"connection left open after {reply}: {rest!r}"
+print(f"coordinator malformed line: error reply, then EOF ({reply['message'][:60]})")
+EOF
 timeout 300 cargo run --release -q -p thermorl-bench --bin run_all -- \
     dispatch work --coordinator-file "$SMOKE_DIR/addr" --quiet
 wait "$SERVE_PID"
@@ -152,8 +167,9 @@ print(f"trace report OK: slo.count={slo['count']}, "
 EOF
 
 echo "== serve hostile + pipelined input (error replies, in-order stats) =="
-# Against the same live supervisor: a 2 MiB line and a malformed line
-# each get an `error` reply (then EOF), three `stats` lines written at
+# Against the same live supervisor: a 2 MiB line, a malformed line and a
+# line with an unknown field each get an `error` reply (then EOF), three
+# `stats` lines written at
 # once get three in-order `stats_report` replies, and `serve stats`
 # still answers afterwards.
 timeout 60 python3 - "$(cat "$SERVE_DIR/addr2")" <<'EOF'
@@ -171,7 +187,8 @@ def exchange(payload, replies, then_eof):
         return lines
 
 for name, payload in (("2 MiB line", b'{"type":"stats","pad":"' + b"x" * (2 << 20) + b'"}\n'),
-                      ("malformed line", b'{"type":\n')):
+                      ("malformed line", b'{"type":\n'),
+                      ("unknown field", b'{"type":"stats","bogus":1}\n')):
     (reply,) = exchange(payload, 1, then_eof=True)
     assert reply["type"] == "error", f"{name}: {reply}"
     print(f"{name}: error reply, then EOF ({reply['message'][:60]})")
@@ -186,6 +203,47 @@ timeout 60 cargo run --release -q -p thermorl-bench --bin serve -- \
 timeout 60 cargo run --release -q -p thermorl-bench --bin serve -- \
     shutdown --addr-file "$SERVE_DIR/addr2"
 wait "$SERVE_PID"
+
+echo "== fd exhaustion (ulimit -n 64: 100 idle connections stop neither server) =="
+# Each server runs with at most 64 open fds, so a burst of 100 idle
+# connections runs it out of fds. An accept that fails for want of an fd
+# is counted and retried, not fatal: once the sockets close, both
+# servers answer again.
+LIMIT_DIR=$(mktemp -d)
+BIN="${CARGO_TARGET_DIR:-target}/release"
+# The binaries run directly: the fd limit is the server's, not cargo's.
+cargo build --release -q -p thermorl-bench --bin serve --bin run_all
+(ulimit -n 64 && exec "$BIN/serve" run --addr 127.0.0.1:0 \
+    --addr-file "$LIMIT_DIR/serve.addr" --store "$LIMIT_DIR/serve.jsonl" --fresh --quiet) &
+SERVE_PID=$!
+(ulimit -n 64 && exec "$BIN/run_all" dispatch serve --addr 127.0.0.1:0 \
+    --addr-file "$LIMIT_DIR/dispatch.addr" --store "$LIMIT_DIR/dispatch.jsonl" \
+    --filter fig1/ --quiet) &
+COORD_PID=$!
+for file in serve.addr dispatch.addr; do
+    for _ in $(seq 100); do [ -s "$LIMIT_DIR/$file" ] && break; sleep 0.1; done
+    [ -s "$LIMIT_DIR/$file" ] || { echo "$file never written"; exit 1; }
+done
+timeout 60 python3 - "$(cat "$LIMIT_DIR/serve.addr")" "$(cat "$LIMIT_DIR/dispatch.addr")" <<'EOF'
+import socket, sys, time
+for addr in sys.argv[1:]:
+    host, port = addr.strip().rsplit(":", 1)
+    idle = [socket.create_connection((host, int(port)), timeout=10) for _ in range(100)]
+    time.sleep(0.5)
+    for s in idle:
+        s.close()
+    print(f"{addr.strip()}: 100 idle connections opened, then closed")
+EOF
+timeout 60 "$BIN/serve" stats --addr-file "$LIMIT_DIR/serve.addr" > /dev/null
+timeout 60 "$BIN/run_all" dispatch status --coordinator-file "$LIMIT_DIR/dispatch.addr" > /dev/null
+kill -0 "$SERVE_PID" "$COORD_PID" || { echo "a server died of fd exhaustion"; exit 1; }
+timeout 60 "$BIN/serve" shutdown --addr-file "$LIMIT_DIR/serve.addr"
+wait "$SERVE_PID"
+timeout 60 "$BIN/run_all" dispatch drain --coordinator-file "$LIMIT_DIR/dispatch.addr" > /dev/null
+# A drained coordinator exits 1: not every job of the campaign completed.
+COORD_STATUS=0
+wait "$COORD_PID" || COORD_STATUS=$?
+[ "$COORD_STATUS" -eq 1 ] || { echo "coordinator exited $COORD_STATUS after drain"; exit 1; }
 
 echo "== trace selftest (client -> serve -> shard -> batch chain + Chrome schema) =="
 # In-process supervisor + loopback load with tracing on: exits nonzero

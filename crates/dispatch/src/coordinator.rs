@@ -9,6 +9,13 @@
 //! per message, and the serve loop's sweeper locks it to reap expired
 //! leases, so the protocol needs no cross-thread channels.
 //!
+//! Connections are accepted on the connection layer the serve supervisor
+//! shares ([`crate::net`]): one thread per connection with `TCP_NODELAY`,
+//! finished handlers reaped, accept errors that belong to one connection
+//! retried, and every handler joined before [`Coordinator::serve`]
+//! returns. Each handler is stop-and-wait — one request, one reply — and
+//! a line it cannot parse gets an `error`, then EOF.
+//!
 //! **Lease lifecycle.** A queued key granted to a worker becomes a lease
 //! with a deadline `now + lease_ms`. Heartbeats push the deadline out;
 //! a missed deadline (worker crashed, network gone) re-queues the key and
@@ -23,7 +30,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -32,6 +39,7 @@ use thermorl_runner::JobSource;
 use thermorl_sim::json::Value;
 use thermorl_telemetry as tel;
 
+use crate::net::{hang_up, Listener, Server};
 use crate::proto::{read_message, write_message, Lease, Message, StatusReport, PROTOCOL_VERSION};
 use crate::store::{CheckpointStore, Ingest};
 
@@ -391,7 +399,7 @@ fn timeout_line(key: &str, seed: u64) -> String {
 
 /// A bound coordinator, ready to serve one campaign.
 pub struct Coordinator {
-    listener: TcpListener,
+    listener: Listener,
     state: Arc<Mutex<State>>,
     config: CoordinatorConfig,
 }
@@ -414,15 +422,7 @@ impl Coordinator {
     pub fn bind(source: &dyn JobSource, config: CoordinatorConfig) -> io::Result<Coordinator> {
         let store = CheckpointStore::open(&config.store, config.resume)?;
         let state = State::new(source, store, &config);
-        let listener = TcpListener::bind(&config.addr)?;
-        if let Some(path) = &config.addr_file {
-            if let Some(parent) = path.parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent)?;
-                }
-            }
-            std::fs::write(path, listener.local_addr()?.to_string())?;
-        }
+        let listener = Listener::bind(&config.addr, config.addr_file.as_deref())?;
         Ok(Coordinator {
             listener,
             state: Arc::new(Mutex::new(state)),
@@ -434,9 +434,9 @@ impl Coordinator {
     ///
     /// # Errors
     ///
-    /// Propagates the socket's `local_addr` failure.
+    /// Never fails; the address is read once at bind.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
+        Ok(self.listener.addr())
     }
 
     /// Serves until the campaign resolves: accepts worker and control
@@ -444,71 +444,79 @@ impl Coordinator {
     /// once no lease is outstanding and the queue is empty (or draining).
     /// After resolution it lingers until every open connection drains (or
     /// `linger_ms` elapses) so workers receive their final `done` instead
-    /// of a dropped socket when the coordinator process exits.
+    /// of a dropped socket when the coordinator process exits. Every
+    /// connection handler has returned by the time `serve` does.
     ///
     /// # Errors
     ///
     /// Fails if the listener breaks or the store rejects a write during
     /// expiry handling.
     pub fn serve(self) -> io::Result<StatusReport> {
-        self.listener.set_nonblocking(true)?;
-        let connections = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let mut last_progress = (u64::MAX, u64::MAX);
-        let mut resolved_since: Option<Instant> = None;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, peer)) => {
-                    let state = Arc::clone(&self.state);
-                    let config = self.config.clone();
-                    let connections = Arc::clone(&connections);
-                    connections.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                    std::thread::Builder::new()
-                        .name(format!("dispatch:{peer}"))
-                        .spawn(move || {
-                            if let Err(e) = handle_connection(stream, &state, &config) {
-                                // Disconnects are routine (a killed worker's
-                                // socket just vanishes); the lease deadline
-                                // is the recovery mechanism.
-                                tel::event!("dispatch.disconnect", "{peer}: {e}");
-                                let _ = e;
-                            }
-                            connections.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
-                        })?;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => return Err(e),
-            }
-            let mut state = lock_state(&self.state);
-            state.reap_expired(Instant::now())?;
-            let status = state.status();
-            if self.config.progress {
-                let snapshot = (status.completed, status.failed);
-                if snapshot != last_progress {
-                    eprintln!(
-                        "[dispatch:{}] {}/{} completed, {} failed, {} queued, {} leased",
-                        status.campaign,
-                        status.completed,
-                        status.total,
-                        status.failed,
-                        status.queued,
-                        status.leased
+        let Coordinator {
+            listener,
+            state,
+            config,
+        } = self;
+        let mut server = {
+            let (state, config) = (Arc::clone(&state), config.clone());
+            listener.serve(move |stream| {
+                // Disconnects are routine (a killed worker's socket just
+                // vanishes); the lease deadline is the recovery mechanism.
+                let peer = stream.peer_addr();
+                if let Err(e) = handle_connection(stream, &state, &config) {
+                    tel::event!(
+                        "dispatch.disconnect",
+                        "{}: {e}",
+                        peer.map_or_else(|_| "?".into(), |p| p.to_string())
                     );
-                    last_progress = snapshot;
                 }
+            })?
+        };
+        let outcome = sweep(&mut server, &state, &config);
+        server.close();
+        outcome
+    }
+}
+
+/// The serve loop: accept, reap expired leases, report progress, and stop
+/// once the campaign has resolved and its connections have drained.
+fn sweep(
+    server: &mut Server,
+    state: &Mutex<State>,
+    config: &CoordinatorConfig,
+) -> io::Result<StatusReport> {
+    let mut last_progress = (u64::MAX, u64::MAX);
+    let mut resolved_since: Option<Instant> = None;
+    loop {
+        server.poll()?;
+        let mut state = lock_state(state);
+        state.reap_expired(Instant::now())?;
+        let status = state.status();
+        if config.progress {
+            let snapshot = (status.completed, status.failed);
+            if snapshot != last_progress {
+                eprintln!(
+                    "[dispatch:{}] {}/{} completed, {} failed, {} queued, {} leased",
+                    status.campaign,
+                    status.completed,
+                    status.total,
+                    status.failed,
+                    status.queued,
+                    status.leased
+                );
+                last_progress = snapshot;
             }
-            if state.resolved() {
-                drop(state);
-                let since = *resolved_since.get_or_insert_with(Instant::now);
-                if connections.load(std::sync::atomic::Ordering::SeqCst) == 0
-                    || since.elapsed() >= Duration::from_millis(self.config.linger_ms)
-                {
-                    return Ok(status);
-                }
-            } else {
-                resolved_since = None;
+        }
+        if state.resolved() {
+            drop(state);
+            let since = *resolved_since.get_or_insert_with(Instant::now);
+            if server.open_connections() == 0
+                || since.elapsed() >= Duration::from_millis(config.linger_ms)
+            {
+                return Ok(status);
             }
+        } else {
+            resolved_since = None;
         }
     }
 }
@@ -523,8 +531,16 @@ fn handle_connection(
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     loop {
-        let Some(message) = read_message(&mut reader)? else {
-            return Ok(()); // clean EOF
+        let message = match read_message(&mut reader) {
+            Ok(Some(message)) => message,
+            Ok(None) => return Ok(()), // clean EOF
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                hang_up(&mut reader, &mut writer, &e, |message| Message::Error {
+                    message,
+                });
+                return Ok(());
+            }
+            Err(e) => return Err(e),
         };
         match message {
             Message::Hello {

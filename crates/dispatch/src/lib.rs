@@ -34,12 +34,11 @@
 #![deny(missing_docs)]
 
 pub mod coordinator;
+pub mod net;
 pub mod proto;
 pub mod store;
 pub mod worker;
 
-use std::io::BufReader;
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -92,45 +91,10 @@ impl JobSource for FilteredSource<'_> {
 /// Fails when the coordinator is unreachable or replies with anything
 /// but a status report.
 pub fn control(addr: &str, message: &Message) -> Result<StatusReport, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
-    let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-    proto::write_message(&mut writer, message).map_err(|e| e.to_string())?;
-    let mut reader = BufReader::new(stream);
-    match proto::read_message(&mut reader).map_err(|e| e.to_string())? {
-        Some(Message::StatusReport(report)) => Ok(report),
-        Some(Message::Error { message }) => Err(format!("coordinator: {message}")),
-        Some(other) => Err(format!("expected status_report, got {other:?}")),
-        None => Err("coordinator closed the connection".into()),
-    }
-}
-
-/// Asks the coordinator for its live tracing surface: sampled traces and
-/// the `dispatch.request` SLO.
-///
-/// # Errors
-///
-/// Fails when the coordinator is unreachable or replies with anything
-/// but a trace report.
-pub fn control_trace(addr: &str, max: u64) -> Result<TraceReport, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
-    let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-    proto::write_message(&mut writer, &Message::Trace { max }).map_err(|e| e.to_string())?;
-    let mut reader = BufReader::new(stream);
-    match proto::read_message(&mut reader).map_err(|e| e.to_string())? {
-        Some(Message::TraceReport(report)) => Ok(report),
-        Some(Message::Error { message }) => Err(format!("coordinator: {message}")),
-        Some(other) => Err(format!("expected trace_report, got {other:?}")),
-        None => Err("coordinator closed the connection".into()),
-    }
-}
-
-fn resolve_addr(addr: &str, addr_file: &Option<PathBuf>) -> Result<String, String> {
-    match addr_file {
-        Some(path) => Ok(std::fs::read_to_string(path)
-            .map_err(|e| format!("coordinator file {}: {e}", path.display()))?
-            .trim()
-            .to_string()),
-        None => Ok(addr.to_string()),
+    match net::request(addr, message)? {
+        Message::StatusReport(report) => Ok(report),
+        Message::Error { message } => Err(format!("coordinator: {message}")),
+        other => Err(format!("expected status_report, got {other:?}")),
     }
 }
 
@@ -211,9 +175,9 @@ pub fn dispatch_command<T: Send + 'static>(
     match subcommand.as_str() {
         "serve" => serve_command(rest, &campaign, default_store),
         "work" => work_command(rest, &campaign),
-        "status" => control_command(rest, &Message::Status),
-        "drain" => control_command(rest, &Message::Drain),
-        "trace" => trace_command(rest),
+        "status" => control_command(rest, Message::Status),
+        "drain" => control_command(rest, Message::Drain),
+        "trace" => control_command(rest, Message::Trace { max: 16 }),
         other => Err(format!(
             "unknown dispatch subcommand {other:?} \
              (expected serve | work | status | drain | trace)"
@@ -348,46 +312,31 @@ fn work_command<T: Send + 'static>(args: &[String], campaign: &Campaign<T>) -> R
     Ok(0)
 }
 
-fn control_command(args: &[String], message: &Message) -> Result<i32, String> {
+/// `status`, `drain` and `trace`: send `message` (`--max` sets a
+/// trace's row bound) and print the report as one JSON line.
+fn control_command(args: &[String], mut message: Message) -> Result<i32, String> {
     let mut addr = CoordinatorConfig::default().addr;
     let mut addr_file: Option<PathBuf> = None;
     let mut args = args.iter().cloned();
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--coordinator" => addr = args.next().ok_or("--coordinator needs a value")?,
-            "--coordinator-file" => {
+        match (arg.as_str(), &mut message) {
+            ("--coordinator", _) => addr = args.next().ok_or("--coordinator needs a value")?,
+            ("--coordinator-file", _) => {
                 addr_file = Some(PathBuf::from(
                     args.next().ok_or("--coordinator-file needs a path")?,
                 ));
             }
-            other => return Err(format!("unknown dispatch control flag {other:?}")),
+            ("--max", Message::Trace { max }) => *max = parse_u64("--max", args.next())?,
+            (other, _) => return Err(format!("unknown dispatch control flag {other:?}")),
         }
     }
-    let addr = resolve_addr(&addr, &addr_file)?;
-    let report = control(&addr, message)?;
-    println!("{}", report.to_json());
-    Ok(0)
-}
-
-fn trace_command(args: &[String]) -> Result<i32, String> {
-    let mut addr = CoordinatorConfig::default().addr;
-    let mut addr_file: Option<PathBuf> = None;
-    let mut max = 16u64;
-    let mut args = args.iter().cloned();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--coordinator" => addr = args.next().ok_or("--coordinator needs a value")?,
-            "--coordinator-file" => {
-                addr_file = Some(PathBuf::from(
-                    args.next().ok_or("--coordinator-file needs a path")?,
-                ));
-            }
-            "--max" => max = parse_u64("--max", args.next())?,
-            other => return Err(format!("unknown dispatch trace flag {other:?}")),
-        }
-    }
-    let addr = resolve_addr(&addr, &addr_file)?;
-    let report = control_trace(&addr, max)?;
-    println!("{}", report.to_json());
+    let addr = net::resolve_addr(&addr, addr_file.as_deref())?;
+    let report = match net::request(&addr, &message)? {
+        Message::StatusReport(report) => report.to_json(),
+        Message::TraceReport(report) => report.to_json(),
+        Message::Error { message } => return Err(format!("coordinator: {message}")),
+        other => return Err(format!("unexpected reply {other:?}")),
+    };
+    println!("{report}");
     Ok(0)
 }

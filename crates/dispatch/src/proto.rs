@@ -41,84 +41,167 @@ pub trait WireMessage: Sized {
     fn parse(line: &str) -> Result<Self, String>;
 }
 
-/// Required string field of a parsed message object (`tag` names the
-/// message type in the error).
-///
-/// # Errors
-///
-/// Fails when the field is missing or not a string.
-pub fn str_field(v: &Value, tag: &str, name: &str) -> Result<String, String> {
-    v.get(name)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("{tag} message missing {name:?}"))
+/// A strict reader over one parsed JSON object (the hand-written form of
+/// `#[serde(deny_unknown_fields)]`). Getters hand out fields by name and
+/// mark them read; a required field that is missing or mistyped is an
+/// error, and once decoding is done any key no getter read — unknown, or
+/// a repeat of a read key — is an error too. Objects hold at most 64 keys.
+pub struct Fields<'a> {
+    tag: &'a str,
+    fields: &'a [(String, Value)],
+    /// Bit `i` is set once `fields[i]` has been read.
+    read: u64,
 }
 
-/// Optional string field of a parsed message object.
-pub fn opt_str_field(v: &Value, name: &str) -> Option<String> {
-    v.get(name).and_then(Value::as_str).map(str::to_string)
-}
+impl<'a> Fields<'a> {
+    /// Decodes the object `v` with `decode`, then rejects every key
+    /// `decode` did not read. `tag` names the object in errors.
+    ///
+    /// # Errors
+    ///
+    /// Fails when `v` is not an object of at most 64 keys, when `decode`
+    /// fails, or on an unknown or repeated key.
+    pub fn strict<T>(
+        v: &'a Value,
+        tag: &'a str,
+        decode: impl FnOnce(&mut Fields<'a>) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let Value::Obj(fields) = v else {
+            return Err(format!("{tag} is not an object"));
+        };
+        if fields.len() > 64 {
+            return Err(format!("{tag} has more than 64 fields"));
+        }
+        let mut f = Fields {
+            tag,
+            fields,
+            read: 0,
+        };
+        let value = decode(&mut f)?;
+        match fields
+            .iter()
+            .enumerate()
+            .find(|(i, _)| f.read & (1 << i) == 0)
+        {
+            None => Ok(value),
+            Some((i, (name, _))) if fields[..i].iter().any(|(key, _)| key == name) => {
+                Err(format!("{} message repeats field {name:?}", f.tag))
+            }
+            Some((_, (name, _))) => Err(format!("{} message has unknown field {name:?}", f.tag)),
+        }
+    }
 
-/// Required unsigned integer field of a parsed message object.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not an unsigned integer.
-pub fn u64_field(v: &Value, tag: &str, name: &str) -> Result<u64, String> {
-    v.get(name)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("{tag} message missing {name:?}"))
-}
-
-/// Required float field of a parsed message object.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not a number.
-pub fn f64_field(v: &Value, tag: &str, name: &str) -> Result<f64, String> {
-    v.get(name)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("{tag} message missing {name:?}"))
-}
-
-/// Required bool field of a parsed message object.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not a bool.
-pub fn bool_field(v: &Value, tag: &str, name: &str) -> Result<bool, String> {
-    v.get(name)
-        .and_then(Value::as_bool)
-        .ok_or_else(|| format!("{tag} message missing {name:?}"))
-}
-
-/// Required array-of-floats field of a parsed message object.
-///
-/// # Errors
-///
-/// Fails when the field is missing or any element is not a number.
-pub fn f64_arr_field(v: &Value, tag: &str, name: &str) -> Result<Vec<f64>, String> {
-    v.get(name)
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{tag} message missing {name:?}"))?
-        .iter()
-        .map(|x| {
-            x.as_f64()
-                .ok_or_else(|| format!("{tag} message has a bad number in {name:?}"))
+    /// [`Fields::strict`] over a message object, named by its `"type"`
+    /// tag ([`Fields::tag`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Fields::strict`], and when the `"type"` tag is missing.
+    pub fn message<T>(
+        v: &'a Value,
+        decode: impl FnOnce(&mut Fields<'a>) -> Result<T, String>,
+    ) -> Result<T, String> {
+        Fields::strict(v, "untyped", |f| {
+            f.tag = f.get("type", Value::as_str)?;
+            decode(f)
         })
-        .collect()
-}
+    }
 
-/// Required 16-hex-digit id field of a parsed message object. Trace and
-/// span ids travel as hex strings (not JSON numbers) so they survive
-/// readers that coerce every number through an `f64`.
-///
-/// # Errors
-///
-/// Fails when the field is missing, not a string, or not valid hex.
-pub fn hex_id_field(v: &Value, tag: &str, name: &str) -> Result<u64, String> {
-    let s = str_field(v, tag, name)?;
-    u64::from_str_radix(&s, 16).map_err(|_| format!("{tag} message has a bad hex id in {name:?}"))
+    /// The message type, or the name of the nested object being read.
+    pub fn tag(&self) -> &'a str {
+        self.tag
+    }
+
+    /// An optional field.
+    pub fn opt(&mut self, name: &str) -> Option<&'a Value> {
+        let i = self.fields.iter().position(|(key, _)| key == name)?;
+        self.read |= 1 << i;
+        Some(&self.fields[i].1)
+    }
+
+    fn get<T>(
+        &mut self,
+        name: &str,
+        as_t: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, String> {
+        self.opt(name)
+            .and_then(as_t)
+            .ok_or_else(|| format!("{} message missing {name:?}", self.tag))
+    }
+
+    /// A required string field (the getters below fail when their field
+    /// is missing or mistyped).
+    pub fn str(&mut self, name: &str) -> Result<String, String> {
+        self.get(name, Value::as_str).map(str::to_string)
+    }
+
+    /// An optional string field.
+    pub fn opt_str(&mut self, name: &str) -> Result<Option<String>, String> {
+        match self.opt(name) {
+            None => Ok(None),
+            Some(_) => self.str(name).map(Some),
+        }
+    }
+
+    /// A required unsigned integer field.
+    pub fn u64(&mut self, name: &str) -> Result<u64, String> {
+        self.get(name, Value::as_u64)
+    }
+
+    /// A required number field.
+    pub fn f64(&mut self, name: &str) -> Result<f64, String> {
+        self.get(name, Value::as_f64)
+    }
+
+    /// A required bool field.
+    pub fn bool(&mut self, name: &str) -> Result<bool, String> {
+        self.get(name, Value::as_bool)
+    }
+
+    /// A required 16-hex-digit id field. Trace and span ids travel as hex
+    /// strings (not JSON numbers) so they survive readers that coerce
+    /// every number through an `f64`.
+    pub fn hex_id(&mut self, name: &str) -> Result<u64, String> {
+        let tag = self.tag;
+        self.get(name, |v| {
+            v.as_str().and_then(|s| u64::from_str_radix(s, 16).ok())
+        })
+        .map_err(|_| format!("{tag} message has a bad hex id in {name:?}"))
+    }
+
+    /// A required array field, each element decoded by `each`.
+    pub fn arr<T>(
+        &mut self,
+        name: &str,
+        each: impl Fn(&'a Value) -> Option<T>,
+    ) -> Result<Vec<T>, String> {
+        let tag = self.tag;
+        self.get(name, Value::as_array)?
+            .iter()
+            .map(|v| each(v).ok_or_else(|| format!("{tag} message has a bad element in {name:?}")))
+            .collect()
+    }
+
+    /// A required nested object, read strictly by `decode`.
+    pub fn obj<T>(
+        &mut self,
+        name: &'a str,
+        decode: impl FnOnce(&mut Fields<'a>) -> Result<T, String>,
+    ) -> Result<T, String> {
+        Fields::strict(self.get(name, Some)?, name, decode)
+    }
+
+    /// A required array of nested objects, each read strictly by `decode`.
+    pub fn objs<T>(
+        &mut self,
+        name: &'a str,
+        decode: impl Fn(&mut Fields<'a>) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.get(name, Value::as_array)?
+            .iter()
+            .map(|v| Fields::strict(v, name, &decode))
+            .collect()
+    }
 }
 
 /// Renders an SLO summary as a JSON object — the shared shape of the
@@ -136,21 +219,22 @@ pub fn slo_to_value(slo: &SloSummary) -> Value {
     v
 }
 
-/// Parses an SLO summary object back ([`slo_to_value`]'s inverse).
+/// Reads an SLO summary object back ([`slo_to_value`]'s inverse) from a
+/// strict cursor.
 ///
 /// # Errors
 ///
 /// Fails when any field is missing or mistyped.
-pub fn slo_from_value(v: &Value, tag: &str) -> Result<SloSummary, String> {
+pub fn slo_from_fields(f: &mut Fields<'_>) -> Result<SloSummary, String> {
     Ok(SloSummary {
-        count: u64_field(v, tag, "count")?,
-        p50_ns: u64_field(v, tag, "p50_ns")?,
-        p99_ns: u64_field(v, tag, "p99_ns")?,
-        objective_ns: u64_field(v, tag, "objective_ns")?,
-        target: f64_field(v, tag, "target")?,
-        over_objective: u64_field(v, tag, "over_objective")?,
-        error_rate: f64_field(v, tag, "error_rate")?,
-        budget_burn: f64_field(v, tag, "budget_burn")?,
+        count: f.u64("count")?,
+        p50_ns: f.u64("p50_ns")?,
+        p99_ns: f.u64("p99_ns")?,
+        objective_ns: f.u64("objective_ns")?,
+        target: f.f64("target")?,
+        over_objective: f.u64("over_objective")?,
+        error_rate: f.f64("error_rate")?,
+        budget_burn: f.f64("budget_burn")?,
     })
 }
 
@@ -167,20 +251,14 @@ pub fn trace_summary_to_value(t: &TraceSummary) -> Value {
     v
 }
 
-/// Parses a trace-summary row back ([`trace_summary_to_value`]'s
-/// inverse).
-///
-/// # Errors
-///
-/// Fails when any field is missing or mistyped.
-pub fn trace_summary_from_value(v: &Value, tag: &str) -> Result<TraceSummary, String> {
+fn trace_summary_from_fields(f: &mut Fields<'_>) -> Result<TraceSummary, String> {
     Ok(TraceSummary {
-        trace_id: hex_id_field(v, tag, "trace_id")?,
-        root_name: str_field(v, tag, "root")?,
-        start_us: u64_field(v, tag, "start_us")?,
-        dur_us: u64_field(v, tag, "dur_us")?,
-        spans: u64_field(v, tag, "spans")?,
-        orphans: u64_field(v, tag, "orphans")?,
+        trace_id: f.hex_id("trace_id")?,
+        root_name: f.str("root")?,
+        start_us: f.u64("start_us")?,
+        dur_us: f.u64("dur_us")?,
+        spans: f.u64("spans")?,
+        orphans: f.u64("orphans")?,
     })
 }
 
@@ -214,28 +292,17 @@ impl TraceReport {
         v
     }
 
-    /// Parses a report body back ([`TraceReport::to_value`]'s inverse).
+    /// Reads a report body back ([`TraceReport::to_value`]'s inverse)
+    /// from the message's strict cursor.
     ///
     /// # Errors
     ///
     /// Fails when any field is missing or mistyped.
-    pub fn from_value(v: &Value, tag: &str) -> Result<TraceReport, String> {
-        let rows = |name: &str| -> Result<Vec<TraceSummary>, String> {
-            v.get(name)
-                .and_then(Value::as_array)
-                .ok_or_else(|| format!("{tag} message missing {name:?}"))?
-                .iter()
-                .map(|row| trace_summary_from_value(row, tag))
-                .collect()
-        };
+    pub fn from_fields(f: &mut Fields<'_>) -> Result<TraceReport, String> {
         Ok(TraceReport {
-            slo: slo_from_value(
-                v.get("slo")
-                    .ok_or_else(|| format!("{tag} message missing \"slo\""))?,
-                tag,
-            )?,
-            slowest: rows("slowest")?,
-            recent: rows("recent")?,
+            slo: f.obj("slo", slo_from_fields)?,
+            slowest: f.objs("slowest", trace_summary_from_fields)?,
+            recent: f.objs("recent", trace_summary_from_fields)?,
         })
     }
 
@@ -534,105 +601,68 @@ impl Message {
     /// required fields.
     pub fn parse(line: &str) -> Result<Message, String> {
         let v = Value::parse(line).map_err(|e| e.to_string())?;
-        let tag = v
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or("message missing type tag")?;
-        let str_field = |name: &str| crate::proto::str_field(&v, tag, name);
-        let u64_field = |name: &str| crate::proto::u64_field(&v, tag, name);
-        match tag {
+        Fields::message(&v, |f| match f.tag() {
             "hello" => Ok(Message::Hello {
-                worker: str_field("worker")?,
-                protocol: u64_field("protocol")?,
-                token: opt_str_field(&v, "token"),
+                worker: f.str("worker")?,
+                protocol: f.u64("protocol")?,
+                token: f.opt_str("token")?,
             }),
             "lease_request" => Ok(Message::LeaseRequest {
-                worker: str_field("worker")?,
-                max_jobs: u64_field("max_jobs")?,
-                trace: opt_str_field(&v, "trace"),
+                worker: f.str("worker")?,
+                max_jobs: f.u64("max_jobs")?,
+                trace: f.opt_str("trace")?,
             }),
-            "heartbeat" => {
-                let lease_ids = v
-                    .get("lease_ids")
-                    .and_then(Value::as_array)
-                    .ok_or("heartbeat missing lease_ids")?
-                    .iter()
-                    .map(|id| id.as_u64().ok_or("bad lease id"))
-                    .collect::<Result<Vec<u64>, _>>()?;
-                Ok(Message::Heartbeat {
-                    worker: str_field("worker")?,
-                    lease_ids,
-                })
-            }
+            "heartbeat" => Ok(Message::Heartbeat {
+                worker: f.str("worker")?,
+                lease_ids: f.arr("lease_ids", Value::as_u64)?,
+            }),
             "result" => Ok(Message::Result {
-                worker: str_field("worker")?,
-                lease_id: u64_field("lease_id")?,
-                line: str_field("line")?,
-                trace: opt_str_field(&v, "trace"),
+                worker: f.str("worker")?,
+                lease_id: f.u64("lease_id")?,
+                line: f.str("line")?,
+                trace: f.opt_str("trace")?,
             }),
             "status" => Ok(Message::Status),
-            "trace" => Ok(Message::Trace {
-                max: u64_field("max")?,
-            }),
+            "trace" => Ok(Message::Trace { max: f.u64("max")? }),
             "drain" => Ok(Message::Drain),
             "goodbye" => Ok(Message::Goodbye {
-                worker: str_field("worker")?,
+                worker: f.str("worker")?,
             }),
             "welcome" => Ok(Message::Welcome {
-                campaign: str_field("campaign")?,
-                seed: u64_field("seed")?,
-                total: u64_field("total")?,
-                heartbeat_ms: u64_field("heartbeat_ms")?,
+                campaign: f.str("campaign")?,
+                seed: f.u64("seed")?,
+                total: f.u64("total")?,
+                heartbeat_ms: f.u64("heartbeat_ms")?,
             }),
-            "grant" => {
-                let leases = v
-                    .get("leases")
-                    .and_then(Value::as_array)
-                    .ok_or("grant missing leases")?
-                    .iter()
-                    .map(|l| -> Result<Lease, String> {
-                        Ok(Lease {
-                            lease_id: l
-                                .get("lease_id")
-                                .and_then(Value::as_u64)
-                                .ok_or("lease missing lease_id")?,
-                            key: l
-                                .get("key")
-                                .and_then(Value::as_str)
-                                .ok_or("lease missing key")?
-                                .to_string(),
-                            seed: l
-                                .get("seed")
-                                .and_then(Value::as_u64)
-                                .ok_or("lease missing seed")?,
-                            deadline_ms: l
-                                .get("deadline_ms")
-                                .and_then(Value::as_u64)
-                                .ok_or("lease missing deadline_ms")?,
-                        })
+            "grant" => Ok(Message::Grant {
+                leases: f.objs("leases", |l| {
+                    Ok(Lease {
+                        lease_id: l.u64("lease_id")?,
+                        key: l.str("key")?,
+                        seed: l.u64("seed")?,
+                        deadline_ms: l.u64("deadline_ms")?,
                     })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Message::Grant { leases })
-            }
+                })?,
+            }),
             "wait" => Ok(Message::Wait {
-                backoff_ms: u64_field("backoff_ms")?,
+                backoff_ms: f.u64("backoff_ms")?,
             }),
             "done" => Ok(Message::Done),
             "status_report" => Ok(Message::StatusReport(StatusReport {
-                campaign: str_field("campaign")?,
-                total: u64_field("total")?,
-                completed: u64_field("completed")?,
-                failed: u64_field("failed")?,
-                queued: u64_field("queued")?,
-                leased: u64_field("leased")?,
-                draining: bool_field(&v, tag, "draining")?,
+                campaign: f.str("campaign")?,
+                total: f.u64("total")?,
+                completed: f.u64("completed")?,
+                failed: f.u64("failed")?,
+                queued: f.u64("queued")?,
+                leased: f.u64("leased")?,
+                draining: f.bool("draining")?,
             })),
-            "trace_report" => Ok(Message::TraceReport(TraceReport::from_value(&v, tag)?)),
+            "trace_report" => Ok(Message::TraceReport(TraceReport::from_fields(f)?)),
             "error" => Ok(Message::Error {
-                message: str_field("message")?,
+                message: f.str("message")?,
             }),
             other => Err(format!("unknown message type {other:?}")),
-        }
+        })
     }
 }
 
@@ -700,117 +730,6 @@ pub fn read_message<R: BufRead, M: WireMessage>(reader: &mut R) -> io::Result<Op
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn all_messages_round_trip() {
-        let messages = vec![
-            Message::Hello {
-                worker: "w1".into(),
-                protocol: PROTOCOL_VERSION,
-                token: None,
-            },
-            Message::Hello {
-                worker: "w2".into(),
-                protocol: PROTOCOL_VERSION,
-                token: Some("sesame".into()),
-            },
-            Message::LeaseRequest {
-                worker: "w1".into(),
-                max_jobs: 4,
-                trace: None,
-            },
-            Message::LeaseRequest {
-                worker: "w1".into(),
-                max_jobs: 4,
-                trace: Some("00-0000000000000000deadbeefcafef00d-0123456789abcdef-01".into()),
-            },
-            Message::Heartbeat {
-                worker: "w1".into(),
-                lease_ids: vec![1, 2, 3],
-            },
-            Message::Result {
-                worker: "w1".into(),
-                lease_id: 9,
-                line: "{\"key\":\"a/b\",\"seed\":1,\"status\":\"ok\",\"payload\":7}".into(),
-                trace: Some("00-0000000000000000deadbeefcafef00d-0123456789abcdef-01".into()),
-            },
-            Message::Status,
-            Message::Trace { max: 16 },
-            Message::TraceReport(TraceReport {
-                slo: SloSummary {
-                    count: 100,
-                    p50_ns: 4096,
-                    p99_ns: 65_536,
-                    objective_ns: 1_000_000,
-                    target: 0.99,
-                    over_objective: 1,
-                    error_rate: 0.01,
-                    budget_burn: 1.0,
-                },
-                slowest: vec![TraceSummary {
-                    trace_id: 0xDEAD_BEEF_CAFE_F00D,
-                    root_name: "dispatch.request".into(),
-                    start_us: 17,
-                    dur_us: 912,
-                    spans: 3,
-                    orphans: 0,
-                }],
-                recent: vec![],
-            }),
-            Message::Drain,
-            Message::Goodbye {
-                worker: "w1".into(),
-            },
-            Message::Welcome {
-                campaign: "run_all".into(),
-                seed: u64::MAX - 1,
-                total: 140,
-                heartbeat_ms: 2000,
-            },
-            Message::Grant {
-                leases: vec![Lease {
-                    lease_id: 1,
-                    key: "table2/tachyon-1/proposed/0".into(),
-                    seed: 0xDEAD_BEEF_CAFE_F00D,
-                    deadline_ms: 30_000,
-                }],
-            },
-            Message::Wait { backoff_ms: 500 },
-            Message::Done,
-            Message::StatusReport(StatusReport {
-                campaign: "suite".into(),
-                total: 45,
-                completed: 40,
-                failed: 1,
-                queued: 2,
-                leased: 2,
-                draining: true,
-            }),
-            Message::Error {
-                message: "protocol mismatch".into(),
-            },
-        ];
-        for message in messages {
-            let line = message.to_line();
-            assert!(!line.contains('\n'), "single line: {line}");
-            let back = Message::parse(&line).expect("parse");
-            assert_eq!(back, message, "round trip of {line}");
-        }
-    }
-
-    #[test]
-    fn result_lines_with_quotes_survive_embedding() {
-        let inner =
-            "{\"key\":\"x\",\"seed\":2,\"status\":\"panicked\",\"error\":\"said \\\"no\\\"\"}";
-        let message = Message::Result {
-            worker: "w".into(),
-            lease_id: 1,
-            line: inner.into(),
-            trace: None,
-        };
-        let back = Message::parse(&message.to_line()).expect("parse");
-        assert_eq!(back, message);
-    }
 
     #[test]
     fn stream_reader_handles_eof_and_blank_lines() {

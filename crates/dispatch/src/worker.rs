@@ -28,6 +28,7 @@ use std::time::Duration;
 use thermorl_runner::{record_line, run_jobs, Campaign, Job, PoolConfig};
 use thermorl_telemetry as tel;
 
+use crate::net;
 use crate::proto::{read_message, write_message, Lease, Message, PROTOCOL_VERSION};
 
 /// How a worker runs.
@@ -150,14 +151,10 @@ pub fn run_worker<T: Send + 'static>(
 }
 
 fn connect(config: &WorkerConfig) -> Result<TcpStream, String> {
-    let addr = match &config.coordinator_file {
-        Some(path) => std::fs::read_to_string(path)
-            .map_err(|e| format!("coordinator file {}: {e}", path.display()))?
-            .trim()
-            .to_string(),
-        None => config.coordinator.clone(),
-    };
-    TcpStream::connect(&addr).map_err(|e| format!("{addr}: {e}"))
+    net::connect(&net::resolve_addr(
+        &config.coordinator,
+        config.coordinator_file.as_deref(),
+    )?)
 }
 
 /// One connected session: handshake, then lease/run/report until `Done`

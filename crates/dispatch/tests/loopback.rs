@@ -390,3 +390,136 @@ fn resumed_coordinator_serves_only_unfinished_keys() {
     assert_eq!(sorted_lines(&store_path), sorted_lines(&serial_path));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// An idle coordinator on an ephemeral port that lingers `linger_ms`
+/// for open connections once drained.
+fn idle_coordinator(
+    tag: &str,
+    linger_ms: u64,
+) -> (
+    String,
+    std::thread::JoinHandle<std::io::Result<thermorl_dispatch::StatusReport>>,
+    PathBuf,
+) {
+    let dir = temp_dir(tag);
+    let coordinator = Coordinator::bind(
+        &build_campaign(),
+        CoordinatorConfig {
+            addr: "127.0.0.1:0".into(),
+            store: dir.join("store.jsonl"),
+            linger_ms,
+            progress: false,
+            ..CoordinatorConfig::default()
+        },
+    )
+    .expect("bind coordinator");
+    let addr = coordinator.local_addr().expect("local addr").to_string();
+    (addr, std::thread::spawn(move || coordinator.serve()), dir)
+}
+
+/// A line the coordinator cannot parse — oversized, malformed, or with a
+/// field the protocol does not have — gets the replies already owed,
+/// then a typed `error`, then EOF: the peer never hangs, and the
+/// coordinator keeps serving.
+#[test]
+fn hostile_lines_get_an_error_then_eof() {
+    use std::io::{BufRead, Write};
+    let (addr, serve, dir) = idle_coordinator("hostile", 2_000);
+    let oversized = format!(
+        "{{\"type\":\"status\",\"pad\":\"{}\"}}\n",
+        "x".repeat(2 * thermorl_dispatch::proto::MAX_LINE_BYTES as usize)
+    );
+    for hostile in [
+        oversized.as_str(),
+        "{\"type\":\"status\"\n",
+        "not json\n",
+        "{\"type\":\"status\",\"bogus\":1}\n",
+    ] {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        let mut bytes = Message::Status.to_line();
+        bytes.push('\n');
+        bytes.push_str(hostile);
+        stream.write_all(bytes.as_bytes()).expect("write");
+        assert!(matches!(
+            read_message(&mut reader).expect("owed reply"),
+            Some(Message::StatusReport(_))
+        ));
+        match read_message(&mut reader).expect("error reply") {
+            Some(Message::Error { message }) => {
+                assert!(message.contains("bad request"), "{message}")
+            }
+            other => panic!("hostile line got {other:?}"),
+        }
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).expect("read"), 0, "then EOF");
+    }
+    // The coordinator itself is unharmed.
+    assert_eq!(
+        control(&addr, &Message::Status).expect("status").total,
+        JOBS as u64
+    );
+    control(&addr, &Message::Drain).expect("drain");
+    serve.join().expect("serve thread").expect("serve ok");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `Server::close` shuts every live connection down and returns only
+/// after every handler has — even handlers still busy after their
+/// socket closed.
+#[test]
+fn close_joins_every_handler() {
+    use std::io::Read;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use thermorl_dispatch::net::Listener;
+    let finished = Arc::new(AtomicUsize::new(0));
+    let listener = Listener::bind("127.0.0.1:0", None).expect("bind");
+    let addr = listener.addr();
+    let mut server = {
+        let finished = Arc::clone(&finished);
+        listener
+            .serve(move |mut stream| {
+                let _ = stream.read(&mut [0u8; 1]); // until close() hangs up
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                finished.fetch_add(1, Ordering::SeqCst);
+            })
+            .expect("serve")
+    };
+    let peers: Vec<TcpStream> = (0..4)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    while server.open_connections() < peers.len() {
+        server.poll().expect("poll");
+    }
+    server.close();
+    assert_eq!(finished.load(Ordering::SeqCst), peers.len());
+}
+
+/// Peers still connected when `Coordinator::serve` returns (the linger
+/// ran out) have been hung up on.
+#[test]
+fn serve_hangs_up_on_idle_peers_before_returning() {
+    use std::io::Read;
+    let (addr, serve, dir) = idle_coordinator("hang-up", 500);
+    let mut idle: Vec<TcpStream> = Vec::new();
+    for _ in 0..4 {
+        let stream = TcpStream::connect(&addr).expect("connect");
+        let mut writer = stream.try_clone().expect("clone stream");
+        // One answered request proves the handler is running.
+        write_message(&mut writer, &Message::Status).expect("status");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        assert!(matches!(
+            read_message(&mut reader).expect("reply"),
+            Some(Message::StatusReport(_))
+        ));
+        idle.push(stream);
+    }
+    control(&addr, &Message::Drain).expect("drain");
+    serve.join().expect("serve thread").expect("serve ok");
+    for mut stream in idle {
+        let mut byte = [0u8; 1];
+        assert_eq!(stream.read(&mut byte).expect("read"), 0, "hung up");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

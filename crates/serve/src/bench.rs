@@ -11,7 +11,6 @@
 
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter};
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
@@ -247,9 +246,7 @@ fn drive_connection(
     cfg: &BenchConfig,
     gate: &Barrier,
 ) -> Result<(Histogram, u64, u64, (u64, u64)), String> {
-    let stream = TcpStream::connect(&cfg.addr)
-        .map_err(|e| format!("cannot connect to {}: {e}", cfg.addr))?;
-    stream.set_nodelay(true).ok();
+    let stream = thermorl_dispatch::net::connect(&cfg.addr)?;
     let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
     let mut writer = BufWriter::new(stream.try_clone().map_err(|e| e.to_string())?);
 

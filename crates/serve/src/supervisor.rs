@@ -17,6 +17,11 @@
 //! without corrupting its stream: one connection's requests reach a
 //! shard in read order.
 //!
+//! Accept, the address file, connection threads, their reaping and
+//! close run on the connection layer the dispatch coordinator shares
+//! ([`thermorl_dispatch::net`]); so does the answer to a line that cannot
+//! be parsed, which gets the round's owed replies, an `error`, then EOF.
+//!
 //! # Crash safety
 //!
 //! Shards snapshot a session into the shared [`CheckpointStore`] every
@@ -29,16 +34,16 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{Shutdown as SocketShutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
 
 use thermorl_control::ControlConfig;
+use thermorl_dispatch::net::{hang_up, Listener, Server};
 use thermorl_dispatch::proto::{read_message, WireMessage};
 use thermorl_dispatch::CheckpointStore;
 use thermorl_policy::PolicyId;
@@ -112,6 +117,7 @@ struct Stats {
     observes_total: AtomicU64,
     decisions_total: AtomicU64,
     snapshot_writes: AtomicU64,
+    snapshot_failures: AtomicU64,
     rejected: AtomicU64,
 }
 
@@ -123,6 +129,7 @@ impl Stats {
             observes_total: self.observes_total.load(Ordering::Relaxed),
             decisions_total: self.decisions_total.load(Ordering::Relaxed),
             snapshot_writes: self.snapshot_writes.load(Ordering::Relaxed),
+            snapshot_failures: self.snapshot_failures.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             slo: request_slo(slo),
         }
@@ -259,12 +266,8 @@ impl Supervisor {
     /// Fails when the address cannot be bound or the store cannot be
     /// opened.
     pub fn spawn(config: ServeConfig) -> io::Result<SupervisorHandle> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        if let Some(path) = &config.addr_file {
-            std::fs::write(path, format!("{addr}\n"))?;
-        }
+        let listener = Listener::bind(&config.addr, config.addr_file.as_deref())?;
+        let addr = listener.addr();
 
         // Restore-and-compact: collect the newest snapshot per die from
         // the previous run, then rewrite the store with exactly those
@@ -319,11 +322,15 @@ impl Supervisor {
             hard: Arc::clone(&hard),
             slo: slo_config(&config),
         });
-        let accept_stop = Arc::clone(&stop);
+        let server = {
+            let shared = Arc::clone(&shared);
+            listener.serve(move |stream| {
+                let _ = handle_connection(stream, &shared);
+            })?
+        };
         let quiet = config.quiet;
-        let thread = thread::spawn(move || {
-            accept_loop(listener, addr, shared, shard_handles, accept_stop, quiet)
-        });
+        let thread =
+            thread::spawn(move || serve_until_stopped(server, addr, shared, shard_handles, quiet));
         Ok(SupervisorHandle {
             addr,
             stop,
@@ -379,54 +386,20 @@ fn load_snapshots(path: &std::path::Path) -> io::Result<HashMap<String, Value>> 
     Ok(latest)
 }
 
-fn accept_loop(
-    listener: TcpListener,
+/// Accepts until a `shutdown` request or [`SupervisorHandle::shutdown`],
+/// then closes every connection and stops the shards.
+fn serve_until_stopped(
+    mut server: Server,
     addr: SocketAddr,
     shared: Arc<Shared>,
     shard_handles: Vec<JoinHandle<()>>,
-    stop: Arc<AtomicBool>,
     quiet: bool,
 ) -> io::Result<ServeReport> {
-    // Live connections only: each handler removes its own socket clone
-    // when it exits, and finished threads are reaped on every accept, so
-    // short connections leak neither fds nor join handles.
-    let live: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::default();
-    let mut conn_handles: Vec<JoinHandle<()>> = Vec::new();
-    let mut next_id = 0u64;
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                conn_handles.retain(|h| !h.is_finished());
-                // Replies go out as soon as a round is written, not when
-                // the client's next request happens to arrive.
-                let Ok(watch) = stream.set_nodelay(true).and_then(|()| stream.try_clone()) else {
-                    continue; // drop just this connection
-                };
-                let id = next_id;
-                next_id += 1;
-                live.lock()
-                    .expect("live connections lock")
-                    .insert(id, watch);
-                let shared = Arc::clone(&shared);
-                let live = Arc::clone(&live);
-                conn_handles.push(thread::spawn(move || {
-                    let _ = handle_connection(stream, &shared);
-                    live.lock().expect("live connections lock").remove(&id);
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) => return Err(e),
-        }
+    let mut accepting = Ok(());
+    while accepting.is_ok() && !shared.stop.load(Ordering::SeqCst) {
+        accepting = server.poll();
     }
-    // Unblock connection threads stuck in a read, then wait for them.
-    for stream in live.lock().expect("live connections lock").values() {
-        let _ = stream.shutdown(SocketShutdown::Both);
-    }
-    for handle in conn_handles {
-        let _ = handle.join();
-    }
+    server.close();
     let stats = Arc::clone(&shared.stats);
     let slo = shared.slo;
     // Dropping the last shard senders disconnects the channels; shards
@@ -435,6 +408,7 @@ fn accept_loop(
     for handle in shard_handles {
         let _ = handle.join();
     }
+    accepting?;
     let report = ServeReport {
         addr,
         stats: stats.report(&slo),
@@ -523,12 +497,12 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     loop {
         // Read a round: block for one request, then take every complete
         // line the reader already holds.
-        let mut last = false;
+        let (mut last, mut shutdown) = (false, false);
         loop {
             match read_message::<_, Message>(&mut reader) {
                 Ok(Some(msg)) => {
                     if !start_request(msg, shared, &mut round, &mut writer)? {
-                        last = true;
+                        (last, shutdown) = (true, true);
                         break;
                     }
                 }
@@ -537,14 +511,11 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
                     break;
                 }
                 Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                    // No resync point: answer what is owed, say why, close.
+                    // Answer what is owed, then say why and close.
                     round.settle(&mut writer)?;
-                    let error = Message::Error {
-                        message: format!("bad request, closing connection: {e}"),
-                    };
-                    write_line(&mut writer, &error)?;
-                    writer.flush()?;
-                    hang_up(&mut reader);
+                    hang_up(&mut reader, &mut writer, &e, |message| Message::Error {
+                        message,
+                    });
                     return Ok(());
                 }
                 Err(e) => return Err(e),
@@ -553,7 +524,13 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
                 break;
             }
         }
-        round.settle(&mut writer)?;
+        let settled = round.settle(&mut writer);
+        if shutdown {
+            // Only once the reply is out: the accept loop shuts every live
+            // connection down as soon as it sees the flag.
+            shared.stop.store(true, Ordering::SeqCst);
+        }
+        settled?;
         if last {
             return Ok(());
         }
@@ -583,7 +560,7 @@ fn line_buffered(reader: &mut BufReader<TcpStream>) -> bool {
 /// Starts one parsed request. A die request moves to its shard's queue;
 /// `stats`, `trace` and `shutdown` first settle the round so far, then are
 /// answered here. Returns `false` after `shutdown`, the connection's last
-/// request.
+/// request; the caller stops the supervisor once the reply is written.
 fn start_request(
     msg: Message,
     shared: &Shared,
@@ -622,7 +599,6 @@ fn start_request(
             if hard {
                 shared.hard.store(true, Ordering::SeqCst);
             }
-            shared.stop.store(true, Ordering::SeqCst);
             Message::ShuttingDown
         }
         other => Message::Error {
@@ -650,25 +626,6 @@ fn route(shared: &Shared, shard: usize, req: Box<ShardRequest>) {
         Err(TrySendError::Disconnected(req)) => req.reply.send(Message::Error {
             message: "supervisor is shutting down".into(),
         }),
-    }
-}
-
-/// Closes a connection whose input cannot be parsed. The write side shuts
-/// first, so the client reads EOF right after the error reply; then what
-/// the client is still sending is discarded for up to a second, because
-/// closing a socket with unread input resets the connection and can
-/// destroy the error reply before the client reads it.
-fn hang_up(reader: &mut BufReader<TcpStream>) {
-    let stream = reader.get_mut();
-    let _ = stream.shutdown(SocketShutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let deadline = Instant::now() + Duration::from_secs(1);
-    let mut sink = [0u8; 1 << 14];
-    while Instant::now() < deadline {
-        match stream.read(&mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
     }
 }
 
@@ -1025,6 +982,8 @@ fn write_snapshot(session: &Session, store: &Arc<Mutex<CheckpointStore>>, stats:
     let line = session.snapshot_line();
     let mut store = store.lock().expect("store lock poisoned");
     if let Err(e) = store.ingest(&line) {
+        stats.snapshot_failures.fetch_add(1, Ordering::Relaxed);
+        tel::counter!("serve.snapshot_failures");
         eprintln!(
             "[serve] warning: snapshot of {:?} failed: {e}",
             session.die()

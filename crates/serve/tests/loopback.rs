@@ -725,3 +725,34 @@ fn trailing_blank_lines_do_not_stall_a_round() {
     handle.join().expect("join");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A snapshot the store cannot write is counted in `stats`, not just
+/// logged, and the detach that triggered it is still answered.
+#[test]
+fn failed_snapshot_writes_are_counted() {
+    let handle = Supervisor::spawn(ServeConfig {
+        resume: false,
+        ..config(Path::new("/dev/full"))
+    })
+    .expect("spawn");
+    let mut client = Client::connect(&handle);
+    assert_eq!(client.attach("die-full"), (false, 0));
+    assert!(matches!(
+        client.roundtrip(&Message::Detach {
+            die: "die-full".into()
+        }),
+        Message::Detached { .. }
+    ));
+    match client.roundtrip(&Message::Stats) {
+        Message::Report(report) => {
+            assert_eq!(report.snapshot_failures, 1);
+            assert_eq!(report.snapshot_writes, 0);
+        }
+        other => panic!("stats got {other:?}"),
+    }
+    assert_eq!(
+        client.roundtrip(&Message::Shutdown { hard: true }),
+        Message::ShuttingDown
+    );
+    handle.join().expect("join");
+}

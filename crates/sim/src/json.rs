@@ -108,7 +108,8 @@ impl Value {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::UInt(u) => Some(*u),
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, which is out of range.
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
